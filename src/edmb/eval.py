@@ -3,27 +3,29 @@ precision/recall/F curves with ODS and OIS summaries, the multi-granularity
 protocol, and FLOPs/parameter counting.
 
 Matching follows the boundary-benchmark lineage: predicted and ground-truth
-edge pixels match one-to-one within a radius of 0.0075 of the image diagonal;
-an augmenting-path matcher is exact at desk scale, with a greedy fallback
-for very dense maps. With multiple annotators, a predicted pixel counts as
-correct if it matches any map, while recall pools every annotator's pixels.
+edge pixels match one-to-one within a radius of 0.0075 of the image diagonal,
+and the matching size is exact at every map size. With multiple annotators,
+a predicted pixel counts as correct if it matches any map, while recall
+pools every annotator's pixels. The matched pixels of each map come from
+one maximum matching, not from a minimum-cost one as in BSDS's
+``correspondPixels``, so the precision count (their union) depends on which
+maximum matching is found; each recall count is the maximum itself.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 
 from . import diffcore as dc
 from .diffcore.tensor import Tensor
-
-GREEDY_PIXEL_LIMIT = 10_000
 
 
 def worker_count():
@@ -31,6 +33,16 @@ def worker_count():
     if env.strip():
         return max(1, int(env))
     return min(4, os.cpu_count() or 1)
+
+
+def _map_images(work, items):
+    """``[work(it) for it in items]``, on ``worker_count()`` threads."""
+    items = list(items)
+    workers = worker_count()
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, items))
+    return [work(it) for it in items]
 
 
 # -- non-maximum suppression --------------------------------------------------------
@@ -93,99 +105,49 @@ def nms_thin(prob, tol=1.01):
 # -- matching ---------------------------------------------------------------------
 
 
-def _candidate_pairs(pred_pts, gt_pts, radius):
-    """Sparse adjacency: for each pred pixel, gt indices within the radius,
-    nearest first."""
-    tree = cKDTree(gt_pts)
-    neighbors = tree.query_ball_point(pred_pts, r=radius)
-    adj = []
-    for i, cand in enumerate(neighbors):
-        if cand:
-            d = np.linalg.norm(gt_pts[np.array(cand)] - pred_pts[i], axis=1)
-            order = np.argsort(d, kind="stable")
-            adj.append([cand[k] for k in order])
-        else:
-            adj.append([])
-    return adj
+def _matched_pred_pixels(pred_bin, gt_bin, max_dist_frac):
+    """Boolean map of the pred pixels paired by one maximum one-to-one
+    matching with gt_bin; its count is the matching size.
 
-
-def _kuhn_owners(adj, n_gt):
-    """Maximum bipartite matching by augmenting paths; gt j -> pred owner.
-
-    Adjacency lists are distance-sorted, so among maximum matchings short
-    pairs are preferred heuristically; the cardinality itself is exact.
+    Pixels may pair when their distance is <= the radius. The matching is
+    a unit-capacity source -> pred -> gt -> sink maximum flow (Dinic).
     """
-    owner = [-1] * n_gt
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if seen[j]:
-                continue
-            seen[j] = True
-            if owner[j] == -1 or augment(owner[j], seen):
-                owner[j] = i
-                return True
-        return False
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(adj) + n_gt + 1000))
-    try:
-        for i in sorted(range(len(adj)), key=lambda i: len(adj[i])):
-            augment(i, [False] * n_gt)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return owner
-
-
-def _match_exact(adj, n_gt):
-    return sum(1 for i in _kuhn_owners(adj, n_gt) if i != -1)
-
-
-def _match_greedy(adj, pred_pts, gt_pts):
-    """Take feasible pairs shortest-first; never beats the exact matcher."""
-    pairs = []
-    for i, cand in enumerate(adj):
-        for j in cand:
-            d = np.linalg.norm(pred_pts[i] - gt_pts[j])
-            pairs.append((d, i, j))
-    pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-    used_p, used_g = set(), set()
-    matched = 0
-    for _, i, j in pairs:
-        if i in used_p or j in used_g:
-            continue
-        used_p.add(i)
-        used_g.add(j)
-        matched += 1
-    return matched
+    H, W = pred_bin.shape
+    radius = max_dist_frac * math.hypot(H, W)
+    pred_pts = np.argwhere(pred_bin)
+    gt_pts = np.argwhere(gt_bin)
+    out = np.zeros(pred_bin.shape, dtype=bool)
+    n_pred, n_gt = len(pred_pts), len(gt_pts)
+    if n_pred == 0 or n_gt == 0:
+        return out
+    pairs = cKDTree(pred_pts).sparse_distance_matrix(
+        cKDTree(gt_pts), radius, output_type="ndarray"
+    )
+    source, sink = n_pred + n_gt, n_pred + n_gt + 1
+    rows = np.concatenate([np.full(n_pred, source), pairs["i"], n_pred + np.arange(n_gt)])
+    cols = np.concatenate([np.arange(n_pred), n_pred + pairs["j"], np.full(n_gt, sink)])
+    caps = csr_matrix((np.ones(len(rows), dtype=np.int32), (rows, cols)),
+                      shape=(sink + 1, sink + 1))
+    # Dinic's algorithm is scipy's default (>= 1.8). csgraph's maximum
+    # bipartite-matching routine gives the same size but took 134.6 s on one
+    # 20.8k x 6.5k adjacency at 321x481, against 0.098 s for this flow.
+    flow = maximum_flow(caps, source, sink).flow
+    matched = flow[source:source + 1, :n_pred].toarray().ravel() > 0
+    out[pred_pts[matched, 0], pred_pts[matched, 1]] = True
+    return out
 
 
-def match_edges(pred_binary, gt_binary, max_dist_frac=0.0075, method="auto"):
-    """One-to-one matching of edge pixels within the tolerance radius.
+def match_edges(pred_binary, gt_binary, max_dist_frac=0.0075):
+    """Maximum one-to-one matching of edge pixels within the tolerance radius.
 
-    Returns (matched_pred, matched_gt) counts; with one-to-one matching the
-    two are equal. ``method`` is 'exact', 'greedy', or 'auto' (exact up to
-    10^4 edge pixels per side, greedy beyond).
+    Returns (matched_pred, matched_gt) counts, equal by construction; the
+    size is exact at every map size.
     """
     pred = np.asarray(pred_binary, dtype=bool)
     gt = np.asarray(gt_binary, dtype=bool)
     if pred.shape != gt.shape:
         raise ValueError(f"match_edges: shapes {pred.shape} vs {gt.shape} differ")
-    H, W = pred.shape
-    radius = max_dist_frac * math.hypot(H, W)
-    pred_pts = np.argwhere(pred).astype(np.float64)
-    gt_pts = np.argwhere(gt).astype(np.float64)
-    if len(pred_pts) == 0 or len(gt_pts) == 0:
-        return 0, 0
-    adj = _candidate_pairs(pred_pts, gt_pts, radius)
-    if method == "auto":
-        method = "exact" if max(len(pred_pts), len(gt_pts)) <= GREEDY_PIXEL_LIMIT else "greedy"
-    if method == "exact":
-        m = _match_exact(adj, len(gt_pts))
-    elif method == "greedy":
-        m = _match_greedy(adj, pred_pts, gt_pts)
-    else:
-        raise ValueError(f"unknown matching method {method!r}")
+    m = int(np.count_nonzero(_matched_pred_pixels(pred, gt, max_dist_frac)))
     return m, m
 
 
@@ -257,8 +219,7 @@ def _normalize_gts(gts):
     return out
 
 
-def image_counts(pred_map, gt_maps, thresholds, max_dist_frac=0.0075,
-                 method="auto"):
+def image_counts(pred_map, gt_maps, thresholds, max_dist_frac=0.0075):
     """Matching counts for one prediction against its annotator maps.
 
     Recall pools one-to-one matches against every annotator map; precision
@@ -279,46 +240,14 @@ def image_counts(pred_map, gt_maps, thresholds, max_dist_frac=0.0075,
             continue
         union = np.zeros_like(pred_bin)
         for g in gt_maps:
-            mp = _matched_pred_pixels(pred_bin, g, max_dist_frac, method)
+            mp = _matched_pred_pixels(pred_bin, g, max_dist_frac)
             cnt_r[k] += int(mp.sum())  # one-to-one matching size
             union |= mp
         cnt_p[k] = int(union.sum())
     return ImageCounts(cnt_p, sum_p, cnt_r, sum_r)
 
 
-def _matched_pred_pixels(pred_bin, gt_bin, max_dist_frac, method):
-    """Boolean map of pred pixels that found a partner in gt_bin."""
-    H, W = pred_bin.shape
-    radius = max_dist_frac * math.hypot(H, W)
-    pred_pts = np.argwhere(pred_bin).astype(np.float64)
-    gt_pts = np.argwhere(gt_bin).astype(np.float64)
-    out = np.zeros_like(pred_bin)
-    if len(pred_pts) == 0 or len(gt_pts) == 0:
-        return out
-    adj = _candidate_pairs(pred_pts, gt_pts, radius)
-    if method == "auto":
-        method = "exact" if max(len(pred_pts), len(gt_pts)) <= GREEDY_PIXEL_LIMIT else "greedy"
-    if method == "exact":
-        matched_pred = {i for i in _kuhn_owners(adj, len(gt_pts)) if i != -1}
-    else:
-        matched_pred = set()
-        pairs = []
-        for i, cand in enumerate(adj):
-            for j in cand:
-                pairs.append((np.linalg.norm(pred_pts[i] - gt_pts[j]), i, j))
-        pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-        used_g = set()
-        for _, i, j in pairs:
-            if i in matched_pred or j in used_g:
-                continue
-            matched_pred.add(i)
-            used_g.add(j)
-    for i in matched_pred:
-        out[int(pred_pts[i][0]), int(pred_pts[i][1])] = True
-    return out
-
-
-def f_curve(preds, gts, thresholds=33, max_dist_frac=0.0075, method="auto"):
+def f_curve(preds, gts, thresholds=33, max_dist_frac=0.0075):
     """Dataset P/R/F across thresholds with ODS and OIS summaries.
 
     The reported curves pool matching counts over the dataset. The ODS
@@ -336,19 +265,12 @@ def f_curve(preds, gts, thresholds=33, max_dist_frac=0.0075, method="auto"):
     def work(args):
         pred, gt_maps = args
         return image_counts(np.asarray(pred, dtype=np.float64), gt_maps,
-                            thresholds, max_dist_frac, method)
+                            thresholds, max_dist_frac)
 
-    items = list(zip(preds, gts))
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_image = list(pool.map(work, items))
-    else:
-        per_image = [work(it) for it in items]
-    return _aggregate(per_image, thresholds)
+    return _aggregate(_map_images(work, zip(preds, gts)), thresholds)
 
 
-def _aggregate(per_image, thresholds, params=0, flops=0):
+def _aggregate(per_image, thresholds):
     T = len(thresholds)
     cnt_p = np.sum([c.cnt_p for c in per_image], axis=0)
     sum_p = np.sum([c.sum_p for c in per_image], axis=0)
@@ -370,18 +292,16 @@ def _aggregate(per_image, thresholds, params=0, flops=0):
         ods_f=float(mean_f[k_best]),
         ois_f=ois,
         per_image=per_image,
-        params=params,
-        flops=flops,
     )
 
 
-def eval_multigranularity(sample_sets, gts, thresholds=33, max_dist_frac=0.0075,
-                          method="auto"):
+def eval_multigranularity(sample_sets, gts, thresholds=33, max_dist_frac=0.0075):
     """Best-sample-per-image protocol over M candidate maps per image.
 
     At each dataset threshold every image contributes the counts of its
-    best-F sample; ODS maximizes pooled F over thresholds, OIS takes each
-    image's best (sample, threshold) pair.
+    best-F sample, and the chosen counts are aggregated as in ``f_curve``:
+    ODS maximizes the mean per-image F over thresholds, OIS averages each
+    image's best (sample, threshold) F.
     """
     if isinstance(thresholds, int):
         thresholds = default_thresholds(thresholds)
@@ -398,56 +318,22 @@ def eval_multigranularity(sample_sets, gts, thresholds=33, max_dist_frac=0.0075,
         samples, gt_maps = args
         return [
             image_counts(np.asarray(p, dtype=np.float64), gt_maps, thresholds,
-                         max_dist_frac, method)
+                         max_dist_frac)
             for p in samples
         ]
 
-    items = list(zip(sample_sets, gts))
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(work, items))
-    else:
-        counts = [work(it) for it in items]
+    counts = _map_images(work, zip(sample_sets, gts))
 
     T = len(thresholds)
-    cnt_p = np.zeros(T)
-    sum_p = np.zeros(T)
-    cnt_r = np.zeros(T)
-    sum_r = np.zeros(T)
     chosen_rows = []
-    best_f_rows = []
     for per_sample in counts:  # one image
         fs = np.array([[c.f_at(k) for k in range(T)] for c in per_sample])  # (M,T)
-        best_m = fs.argmax(axis=0)  # per threshold
-        best_f_rows.append(fs.max(axis=0))
-        row = ImageCounts(
-            np.array([per_sample[best_m[k]].cnt_p[k] for k in range(T)]),
-            np.array([per_sample[best_m[k]].sum_p[k] for k in range(T)]),
-            np.array([per_sample[best_m[k]].cnt_r[k] for k in range(T)]),
-            np.array([per_sample[best_m[k]].sum_r[k] for k in range(T)]),
-        )
-        chosen_rows.append(row)
-        cnt_p += row.cnt_p
-        sum_p += row.sum_p
-        cnt_r += row.cnt_r
-        sum_r += row.sum_r
-    precision = np.where(sum_p > 0, cnt_p / np.maximum(sum_p, 1), 1.0)
-    recall = np.where(sum_r > 0, cnt_r / np.maximum(sum_r, 1), 0.0)
-    f = np.array([fmeasure(p, r) for p, r in zip(precision, recall)])
-    mean_f = np.mean(best_f_rows, axis=0)  # per threshold, best sample per image
-    k_best = int(np.argmax(mean_f))
-    ois = float(np.mean([row.max() for row in best_f_rows]))
-    return EvalReport(
-        thresholds=thresholds,
-        precision=precision,
-        recall=recall,
-        f=f,
-        ods_threshold=float(thresholds[k_best]),
-        ods_f=float(mean_f[k_best]),
-        ois_f=ois,
-        per_image=chosen_rows,
-    )
+        pick = (fs.argmax(axis=0), np.arange(T))  # best sample per threshold
+        chosen_rows.append(ImageCounts(
+            *(np.array([getattr(c, name) for c in per_sample])[pick]
+              for name in ("cnt_p", "sum_p", "cnt_r", "sum_r"))
+        ))
+    return _aggregate(chosen_rows, thresholds)
 
 
 # -- model cost metrics ---------------------------------------------------------------

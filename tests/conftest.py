@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 logging.getLogger("edmb.train").setLevel(logging.WARNING)
 
@@ -17,3 +18,21 @@ def f64():
 
     with dc.precision("float64"):
         yield
+
+
+def _assignment_matching_size(pred, gt, max_dist_frac):
+    """Maximum one-to-one matching size within the radius, by brute-force
+    distances and a 0/1 linear assignment (independent of edmb.eval)."""
+    p, g = np.argwhere(pred), np.argwhere(gt)
+    if len(p) == 0 or len(g) == 0:
+        return 0
+    radius = max_dist_frac * np.hypot(*pred.shape)
+    d = p[:, None, :] - g[None, :, :]
+    feasible = (np.hypot(d[..., 0], d[..., 1]) <= radius).astype(np.int64)
+    rows, cols = linear_sum_assignment(feasible, maximize=True)
+    return int(feasible[rows, cols].sum())
+
+
+@pytest.fixture
+def assignment_oracle():
+    return _assignment_matching_size

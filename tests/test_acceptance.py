@@ -222,7 +222,7 @@ def test_criterion_07_two_stage_freeze():
                         f"stage-1 output exactly: {aux_ok}")
 
 
-def test_criterion_08_eval_harness_oracle():
+def test_criterion_08_eval_harness_oracle(assignment_oracle):
     gt = np.zeros((9, 9), bool)
     gt[4, 2:7] = True
     rep_ident = evalkit.f_curve([gt.astype(float)], [gt])
@@ -240,19 +240,19 @@ def test_criterion_08_eval_harness_oracle():
                and rep_hand.f[0] == 0.5)
 
     rng = np.random.default_rng(31)
-    greedy_ok = True
+    oracle_ok = True
     for _ in range(50):
         a = rng.random((14, 14)) > 0.8
         b = rng.random((14, 14)) > 0.8
-        exact, _ = evalkit.match_edges(a, b, 0.12, "exact")
-        greedy, _ = evalkit.match_edges(a, b, 0.12, "greedy")
-        greedy_ok &= greedy <= exact
+        got, _ = evalkit.match_edges(a, b, 0.12)
+        oracle_ok &= got == assignment_oracle(a, b, 0.12)
 
     ois_ok = all(r.ois_f >= r.ods_f - 1e-12 for r in _reports)
-    ok = ident_ok and hand_ok and greedy_ok and ois_ok
+    ok = ident_ok and hand_ok and oracle_ok and ois_ok
     assert _line(8, ok, f"identical pred/gt ODS=OIS=1: {ident_ok}; 5x5 hand case "
                         f"P=R=F=0.5: {hand_ok}; OIS>=ODS on all {len(_reports)} "
-                        f"runs: {ois_ok}; greedy<=exact over 50: {greedy_ok}")
+                        f"runs: {ois_ok}; match_edges == linear-assignment oracle "
+                        f"over 50: {oracle_ok}")
 
 
 def test_criterion_09_flops_params():

@@ -88,13 +88,12 @@ class TestMatchEdges:
         with pytest.raises(ValueError, match="differ"):
             match_edges(np.zeros((4, 4), bool), np.zeros((5, 5), bool))
 
-    def test_greedy_never_exceeds_exact(self, rng):
+    def test_matches_assignment_oracle(self, rng, assignment_oracle):
         for _ in range(50):
             a = rng.random((14, 14)) > 0.8
             b = rng.random((14, 14)) > 0.8
-            exact, _ = match_edges(a, b, 0.12, "exact")
-            greedy, _ = match_edges(a, b, 0.12, "greedy")
-            assert greedy <= exact
+            got, _ = match_edges(a, b, 0.12)
+            assert got == assignment_oracle(a, b, 0.12)
 
     def test_exact_beats_greedy_on_crossing_case(self):
         # two preds, two gts arranged so greedy's nearest-first choice blocks
@@ -105,8 +104,26 @@ class TestMatchEdges:
         pred[4, 6] = True
         gt[4, 5] = True
         gt[4, 3] = True
-        exact, _ = match_edges(pred, gt, 2.2 / np.hypot(9, 9), "exact")
+        exact, _ = match_edges(pred, gt, 2.2 / np.hypot(9, 9))
         assert exact == 2
+
+    def test_exact_on_dense_tiled_crossing_case(self):
+        # 8000 copies of a crossing motif (gt at x0, x0+3; preds at x0+2,
+        # x0+4): nearest-first pairing strands one pred per copy, while the
+        # maximum matching pairs all 16000
+        H, W = 120, 1400
+        pred = np.zeros((H, W), bool)
+        gt = np.zeros((H, W), bool)
+        for x0 in range(0, W, 7):
+            gt[::3, x0] = gt[::3, x0 + 3] = True
+            pred[::3, x0 + 2] = pred[::3, x0 + 4] = True
+        frac = 2.2 / np.hypot(H, W)
+        n = int(pred.sum())
+        assert n == 16000
+        assert match_edges(pred, gt, frac) == (n, n)
+        np.testing.assert_array_equal(evalkit._matched_pred_pixels(pred, gt, frac), pred)
+        rep = f_curve([pred.astype(float)], [gt], thresholds=[0.5], max_dist_frac=frac)
+        assert rep.recall[0] == 1.0 and rep.precision[0] == 1.0
 
 
 class TestFCurve:
