@@ -86,15 +86,6 @@ def _load_model_from_ckpt(path):
     return model
 
 
-def _read_image_chw(path):
-    from . import netpbm
-
-    raw = netpbm.read_image(path)
-    if raw.ndim == 2:
-        raw = np.stack([raw] * 3, axis=-1)
-    return raw.astype(np.float32).transpose(2, 0, 1) / 255.0
-
-
 def cmd_train(args):
     from .model import EdgeDetector
     from .pipeline import load_dataset, parse_config, train_stage
@@ -121,9 +112,10 @@ def cmd_train(args):
 def cmd_infer(args):
     from . import netpbm
     from .inference import predict_distribution, quantize_map, sample_granularity
+    from .pipeline import read_image_chw
 
     model = _load_model_from_ckpt(args.ckpt)
-    image = _read_image_chw(args.image)
+    image = read_image_chw(args.image)
     dist = predict_distribution(model, image)
     p = sample_granularity(dist, args.gamma)
     netpbm.write_pgm(args.out, quantize_map(p))
@@ -132,38 +124,27 @@ def cmd_infer(args):
 
 
 def cmd_sweep(args):
-    from .inference import GranularityConfig, parse_gamma_range, predict_distribution, granularity_sweep
+    from .inference import granularity_sweep, parse_gamma_range, predict_distribution
+    from .pipeline import read_image_chw
 
     model = _load_model_from_ckpt(args.ckpt)
-    image = _read_image_chw(args.image)
+    image = read_image_chw(args.image)
     dist = predict_distribution(model, image)
     gammas = parse_gamma_range(args.gammas)
     stem = os.path.splitext(os.path.basename(args.image))[0]
-    paths = granularity_sweep(dist, GranularityConfig(gammas=gammas), args.out_dir, stem)
+    paths = granularity_sweep(dist, gammas, args.out_dir, stem)
     print(f"wrote {len(paths)} maps to {args.out_dir}")
     return 0
-
-
-def _load_gt_maps(gt_root, sid):
-    from . import netpbm
-
-    gt_dir = os.path.join(gt_root, sid)
-    gt_file = os.path.join(gt_root, sid + ".pgm")
-    if os.path.isdir(gt_dir):
-        files = sorted(f for f in os.listdir(gt_dir) if f.lower().endswith(".pgm"))
-        return [netpbm.read_netpbm(os.path.join(gt_dir, f)) >= 128 for f in files]
-    if os.path.exists(gt_file):
-        return [netpbm.read_netpbm(gt_file) >= 128]
-    raise FileNotFoundError(f"no ground truth for {sid!r} under {gt_root}")
 
 
 def cmd_eval(args):
     from . import netpbm
     from .eval import eval_multigranularity, f_curve, nms_thin
+    from .pipeline import load_label_maps
 
     with open(args.list_file, "r", encoding="utf-8") as fh:
         ids = [line.strip() for line in fh if line.strip()]
-    gts = [_load_gt_maps(args.gt, sid) for sid in ids]
+    gts = [load_label_maps(args.gt, sid) for sid in ids]
 
     def prep(path):
         m = netpbm.read_netpbm(path).astype(np.float64) / 255.0

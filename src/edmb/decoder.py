@@ -4,13 +4,13 @@ spatial feature transform conditioning, and the mean / variance / edge heads.
 Three fusion cascades produce a high-resolution global map (the guide), a
 fine-grained mean map, and a fine-grained variance map. The guide modulates
 both fine branches through affine transforms predicted from it; softplus on
-the variance heads keeps every variance non-negative. Auxiliary heads read
-the three fused maps directly and exist only to supervise training.
+the variance heads keeps every variance non-negative. The direct edge head
+reads the guide and supervises the global stage; the auxiliary mean and
+variance heads read the fine maps directly and supervise the fine stage.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,13 +28,6 @@ class EdgeDistribution:
     aux_p: Optional[Tensor] = None
     aux_mu: Optional[Tensor] = None
     aux_var: Optional[Tensor] = None
-
-
-@dataclass
-class FusedFeatures:
-    hg: Tensor  # high-resolution global guide
-    fm: Tensor  # fine-grained mean features
-    fv: Tensor  # fine-grained variance features
 
 
 class MBConv(nn.Module):
@@ -170,46 +163,24 @@ class LGDDecoder(nn.Module):
         maps = list(reversed(pyramid.maps)) + list(reversed(high.maps))
         return maps
 
-    def fuse_global(self, f_g, f_h, frozen=False):
-        ctx = dc.no_grad() if frozen else contextlib.nullcontext()
-        with ctx:
-            return self.cff_global(self._levels(f_g, f_h))
+    def guide(self, f_g, f_h):
+        """The stride-1 global map that conditions both fine branches."""
+        return self.cff_global(self._levels(f_g, f_h))
 
-    def fuse_features(self, f_g, f_f, f_h, freeze_global=False) -> FusedFeatures:
-        """The three stride-1 fusion results feeding every head."""
-        return FusedFeatures(
-            hg=self.fuse_global(f_g, f_h, frozen=freeze_global),
-            fm=self.cff_mean(self._levels(f_f, f_h)),
-            fv=self.cff_var(self._levels(f_f, f_h)),
-        )
-
-    def decode(self, f_g, f_f, f_h, include_aux=True, freeze_global=False):
-        fused = self.fuse_features(f_g, f_f, f_h, freeze_global=freeze_global)
-        mu = self.mean_head(self.sft_mean(fused.fm, fused.hg))
-        var = dc.softplus(self.var_head(self.sft_var(fused.fv, fused.hg)))
+    def decode(self, guide, f_f, f_h, include_aux=True):
+        """Per-pixel (mu, var) from the fine pyramid, modulated by ``guide``;
+        with ``include_aux`` also the auxiliary (mu, var) of the fine maps."""
+        levels = self._levels(f_f, f_h)
+        fm = self.cff_mean(levels)
+        fv = self.cff_var(levels)
+        mu = self.mean_head(self.sft_mean(fm, guide))
+        var = dc.softplus(self.var_head(self.sft_var(fv, guide)))
         if not include_aux:
             return EdgeDistribution(mu, var)
-        ctx = dc.no_grad() if freeze_global else contextlib.nullcontext()
-        with ctx:
-            aux_p = dc.sigmoid(self.edge_head(fused.hg))
-        aux_mu = self.aux_mean_head(fused.fm)
-        aux_var = dc.softplus(self.aux_var_head(fused.fv))
-        return EdgeDistribution(mu, var, aux_p, aux_mu, aux_var)
+        aux_mu = self.aux_mean_head(fm)
+        aux_var = dc.softplus(self.aux_var_head(fv))
+        return EdgeDistribution(mu, var, aux_mu=aux_mu, aux_var=aux_var)
 
     def decode_global(self, f_g, f_h):
-        """Stage-1 path: the guide map and its direct edge probability."""
-        hg = self.fuse_global(f_g, f_h)
-        return hg, dc.sigmoid(self.edge_head(hg))
-
-
-def cff_fuse(cff, maps):
-    return cff(maps)
-
-
-def sft_modulate(sft, content, guide):
-    return sft(content, guide)
-
-
-def decode_lgd(decoder, f_g, f_f, f_h, include_aux=True, freeze_global=False):
-    return decoder.decode(f_g, f_f, f_h, include_aux=include_aux,
-                          freeze_global=freeze_global)
+        """Stage-1 path: the direct edge probability of the guide map."""
+        return dc.sigmoid(self.edge_head(self.guide(f_g, f_h)))

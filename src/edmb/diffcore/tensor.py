@@ -13,6 +13,7 @@ import contextlib
 import threading
 
 import numpy as np
+from scipy.special import expit
 
 _state = threading.local()
 
@@ -108,9 +109,6 @@ class Tensor:
 
     def numpy(self):
         return self.data
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -331,13 +329,9 @@ def relu(a):
 
 
 def _sigmoid_raw(x):
-    # overflow-safe: exp only sees non-positive arguments
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
-    return s
+    # overflow-safe; unlike exp(x) / (1 + exp(x)) it never decreases between
+    # neighbouring float32 inputs, which the granularity sweep relies on
+    return expit(x)
 
 
 def sigmoid(a):
@@ -367,30 +361,6 @@ def clamp(a, lo, hi):
     a = as_tensor(a)
     mask = (a.data > lo) & (a.data < hi)
     return make_op(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,), "clamp")
-
-
-_POINTWISE_KINDS = ("relu", "sigmoid", "softplus", "exp", "log", "neg", "add-const", "mul-const")
-
-
-def pointwise(a, kind, const=None):
-    """Elementwise map with correct adjoint; ``kind`` selects the function."""
-    if kind == "relu":
-        return relu(a)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "softplus":
-        return softplus(a)
-    if kind == "exp":
-        return exp(a)
-    if kind == "log":
-        return log(a)
-    if kind == "neg":
-        return neg(a)
-    if kind == "add-const":
-        return add(a, float(const))
-    if kind == "mul-const":
-        return mul(a, float(const))
-    raise ValueError(f"unknown pointwise kind {kind!r}; expected one of {_POINTWISE_KINDS}")
 
 
 # -- reductions -----------------------------------------------------------------

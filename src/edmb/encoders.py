@@ -6,33 +6,16 @@ followed by three stages of bidirectional scan blocks at strides 4/8/16,
 channels doubling at each 2x2 token merge. The fine-grained encoder runs the
 same network over the four image quadrants; during training only a random
 subset of windows records gradients while all windows contribute activations.
+Both scan encoders read their architecture from the model's ``ModelConfig``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import diffcore as dc
 from .diffcore import nn
 from .ssm import PatchEmbed, PatchMerge, VimBlock
-
-
-@dataclass
-class EncoderConfig:
-    embed_dim: int = 80
-    depths: tuple = (2, 2, 2)
-    state_dim: int = 8
-    patch_size: int = 4
-    base_hw: tuple = (64, 64)
-    window_keep: int = 1
-
-    def __post_init__(self):
-        if len(self.depths) != 3:
-            raise ValueError("depths must list three stages")
-        if not 1 <= self.window_keep <= 4:
-            raise ValueError("window_keep must lie in [1, 4]")
 
 
 @dataclass
@@ -49,17 +32,11 @@ class FeaturePyramid:
     def __iter__(self):
         return iter(zip(self.strides, self.maps))
 
-    def level(self, stride):
-        for s, m in zip(self.strides, self.maps):
-            if s == stride:
-                return m
-        raise KeyError(f"no pyramid level at stride {stride}")
-
 
 class MambaEncoder(nn.Module):
     """Three-stage token-mixing pyramid over 4x4 patches (strides 4/8/16)."""
 
-    def __init__(self, cfg: EncoderConfig, rng, base_hw=None):
+    def __init__(self, cfg, rng, base_hw=None):
         super().__init__()
         base_hw = base_hw or cfg.base_hw
         base_grid = (base_hw[0] // cfg.patch_size, base_hw[1] // cfg.patch_size)
@@ -92,10 +69,6 @@ class MambaEncoder(nn.Module):
         maps.append(seq.to_map())
         strides.append(16)
         return FeaturePyramid(maps, strides)
-
-
-def encode_global(encoder, image):
-    return encoder(image)
 
 
 def window_split(x):
@@ -131,7 +104,7 @@ class FineEncoder(nn.Module):
     forward values, only which windows backpropagate.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng):
+    def __init__(self, cfg, rng):
         super().__init__()
         self.keep = cfg.window_keep
         win_hw = (cfg.base_hw[0] // 2, cfg.base_hw[1] // 2)
@@ -164,10 +137,6 @@ class FineEncoder(nn.Module):
         return FeaturePyramid(maps, [4, 8, 16])
 
 
-def encode_fine(encoder, image, training=False, rng=None):
-    return encoder(image, training=training, rng=rng)
-
-
 class HighResEncoder(nn.Module):
     """Two plain conv+ReLU blocks keeping full resolution, 16 then 32
     channels, with a 2x2 max-pool between them."""
@@ -184,7 +153,3 @@ class HighResEncoder(nn.Module):
         f1 = dc.relu(self.conv1(image))
         f2 = dc.relu(self.conv2(dc.max_pool2d(f1, 2)))
         return FeaturePyramid([f1, f2], [1, 2])
-
-
-def encode_highres(encoder, image):
-    return encoder(image)

@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import convolve1d
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
@@ -56,9 +57,7 @@ def _gauss_kernel5(sigma=1.0):
 
 def _smooth5(a, sigma=1.0):
     k = _gauss_kernel5(sigma)
-    pad = np.pad(a, 2, mode="edge")
-    tmp = np.apply_along_axis(lambda r: np.convolve(r, k, mode="valid"), 1, pad)
-    return np.apply_along_axis(lambda c: np.convolve(c, k, mode="valid"), 0, tmp)
+    return convolve1d(convolve1d(a, k, axis=1, mode="nearest"), k, axis=0, mode="nearest")
 
 
 def _bilinear_at(a, yy, xx):
@@ -183,25 +182,12 @@ class EvalReport:
     ods_f: float
     ois_f: float
     per_image: list = field(default_factory=list)
-    params: int = 0
-    flops: int = 0
 
     def summary_kv(self):
         return (
             f"ods={self.ods_f:.6f}\nois={self.ois_f:.6f}\n"
             f"ods_threshold={self.ods_threshold:.6f}\n"
-            f"params={self.params}\nflops={self.flops}\n"
         )
-
-    def to_text(self):
-        lines = ["thr\tprec\trecall\tf"]
-        for t, p, r, f1 in zip(self.thresholds, self.precision, self.recall, self.f):
-            lines.append(f"{t:.4f}\t{p:.4f}\t{r:.4f}\t{f1:.4f}")
-        lines.append(f"ODS F={self.ods_f:.4f} @ t={self.ods_threshold:.4f}")
-        lines.append(f"OIS F={self.ois_f:.4f}")
-        if self.params:
-            lines.append(f"params={self.params} flops={self.flops}")
-        return "\n".join(lines) + "\n"
 
 
 def default_thresholds(count=33):

@@ -9,7 +9,6 @@ the multi-granularity edge family.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,16 +22,6 @@ from .pipeline import pad_to_multiple
 def default_gammas():
     """The standard 11-point sweep: n/2 - 5 for n = 0..10."""
     return [n / 2.0 - 5.0 for n in range(11)]
-
-
-@dataclass
-class GranularityConfig:
-    gammas: list = field(default_factory=default_gammas)
-    use_sigma: bool = False  # shift by gamma*sqrt(var) instead of gamma*var
-
-    @property
-    def count(self):
-        return len(self.gammas)
 
 
 def predict_distribution(model, image) -> EdgeDistribution:
@@ -61,16 +50,11 @@ def predict_distribution(model, image) -> EdgeDistribution:
     return EdgeDistribution(Tensor(mu.copy()), Tensor(var.copy()))
 
 
-def sample_granularity(dist: EdgeDistribution, gamma, use_sigma=False):
-    """Edge probability map sigmoid(mu + gamma * var) as a numpy array.
-
-    ``use_sigma`` switches the shift to gamma * sqrt(var) (standard-deviation
-    scaling) for the alternative convention.
-    """
+def sample_granularity(dist: EdgeDistribution, gamma):
+    """Edge probability map sigmoid(mu + gamma * var) as a numpy array."""
     mu = dist.mu.data if isinstance(dist.mu, Tensor) else np.asarray(dist.mu)
     var = dist.var.data if isinstance(dist.var, Tensor) else np.asarray(dist.var)
-    shift = np.sqrt(var) if use_sigma else var
-    logits = mu + gamma * shift if gamma != 0.0 else mu
+    logits = mu + gamma * var if gamma != 0.0 else mu
     out = _sigmoid_raw(logits)
     return out.reshape(out.shape[-2], out.shape[-1])
 
@@ -80,13 +64,12 @@ def quantize_map(p):
     return np.clip(np.rint(np.asarray(p) * 255.0), 0, 255).astype(np.uint8)
 
 
-def granularity_sweep(dist: EdgeDistribution, cfg: GranularityConfig, out_dir,
-                      image_id="edge"):
+def granularity_sweep(dist: EdgeDistribution, gammas, out_dir, image_id="edge"):
     """Write one quantized PGM per gamma; returns the paths in gamma order."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for gamma in cfg.gammas:
-        p = sample_granularity(dist, gamma, use_sigma=cfg.use_sigma)
+    for gamma in gammas:
+        p = sample_granularity(dist, gamma)
         path = os.path.join(out_dir, f"{image_id}_g{gamma:g}.pgm")
         try:
             netpbm.write_pgm(path, quantize_map(p))

@@ -25,7 +25,6 @@ class LossConfig:
     lam: float = 1.1          # positive/negative balance
     varphi: float = 1.0       # KL weight
     alpha2: float = 0.4       # auxiliary ELBO weight
-    alpha1: float = 0.0       # single-stage total-loss weight; unused by default
     eps: float = 1e-6         # probability and variance clamp
     literal_weights: bool = False
 

@@ -9,7 +9,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import nn
 from .decoder import LGDDecoder
-from .encoders import EncoderConfig, FineEncoder, HighResEncoder, MambaEncoder
+from .encoders import FineEncoder, HighResEncoder, MambaEncoder
 
 
 @dataclass
@@ -25,15 +25,11 @@ class ModelConfig:
     highres_ch: int = 16
     seed: int = 0
 
-    def encoder_config(self):
-        return EncoderConfig(
-            embed_dim=self.embed_dim,
-            depths=tuple(self.depths),
-            state_dim=self.state_dim,
-            patch_size=self.patch_size,
-            base_hw=tuple(self.base_hw),
-            window_keep=self.window_keep,
-        )
+    def __post_init__(self):
+        if len(self.depths) != 3:
+            raise ValueError("depths must list three stages")
+        if not 1 <= self.window_keep <= 4:
+            raise ValueError("window_keep must lie in [1, 4]")
 
 
 class EdgeDetector(nn.Module):
@@ -42,10 +38,9 @@ class EdgeDetector(nn.Module):
     def __init__(self, cfg: ModelConfig):
         super().__init__()
         self.cfg = cfg
-        enc_cfg = cfg.encoder_config()
         rng = np.random.default_rng(cfg.seed)
-        self.global_enc = MambaEncoder(enc_cfg, rng)
-        self.fine_enc = FineEncoder(enc_cfg, rng)
+        self.global_enc = MambaEncoder(cfg, rng)
+        self.fine_enc = FineEncoder(cfg, rng)
         self.high_enc = HighResEncoder(rng, width=cfg.highres_ch)
         d = cfg.embed_dim
         self.decoder = LGDDecoder(
@@ -60,23 +55,18 @@ class EdgeDetector(nn.Module):
     # -- forward paths ---------------------------------------------------------
 
     def forward_global(self, image):
-        """Stage-1 path: encode global + high-res, emit aux edge probability."""
-        f_g = self.global_enc(image)
-        f_h = self.high_enc(image)
-        _, aux_p = self.decoder.decode_global(f_g, f_h)
-        return aux_p
+        """Stage-1 path: encode global + high-res, emit the direct edge probability."""
+        return self.decoder.decode_global(self.global_enc(image), self.high_enc(image))
 
-    def forward_full(self, image, training=False, rng=None, include_aux=True,
-                     freeze_global=False):
-        """Full path: all encoders plus the distribution decoder."""
-        ctx = dc.no_grad() if freeze_global else _null()
-        with ctx:
+    def forward_full(self, image, training=False, rng=None, include_aux=True):
+        """Stage-2 path: the frozen global branch (both encoders and the guide
+        fusion, run without gradients) conditions the fine distribution."""
+        with dc.no_grad():
             f_g = self.global_enc(image)
             f_h = self.high_enc(image)
+            guide = self.decoder.guide(f_g, f_h)
         f_f = self.fine_enc(image, training=training, rng=rng)
-        return self.decoder.decode(
-            f_g, f_f, f_h, include_aux=include_aux, freeze_global=freeze_global
-        )
+        return self.decoder.decode(guide, f_f, f_h, include_aux=include_aux)
 
     # -- parameter grouping (freezing, optimizer membership) ---------------------
 
@@ -97,12 +87,6 @@ class EdgeDetector(nn.Module):
         self.high_enc.eval()
         self.decoder.cff_global.eval()
         self.decoder.edge_head.eval()
-
-
-def _null():
-    import contextlib
-
-    return contextlib.nullcontext()
 
 
 def build_model(cfg: ModelConfig) -> EdgeDetector:

@@ -222,11 +222,49 @@ def select_label(labels, mode, rng, valid=None, rho=0.5):
 # -- dataset loading -------------------------------------------------------------
 
 
+def read_image_chw(path):
+    """A .ppm/.pgm/.png image as a (3,H,W) float32 array in [0,1]; grey
+    images are repeated over the three channels."""
+    raw = netpbm.read_image(path)
+    if raw.ndim == 2:
+        raw = np.stack([raw] * 3, axis=-1)
+    return (raw.astype(np.float32) / 255.0).transpose(2, 0, 1)
+
+
+def load_label_maps(label_root, sid):
+    """Annotator maps of sample ``sid`` as (H,W) bool arrays, binarized at
+    128/255: every .pgm in the directory <label_root>/<sid>/, or the single
+    file <label_root>/<sid>.pgm."""
+    label_dir = os.path.join(label_root, sid)
+    label_file = os.path.join(label_root, sid + ".pgm")
+    label_paths = []
+    if os.path.isdir(label_dir):
+        label_paths = [
+            os.path.join(label_dir, f)
+            for f in sorted(os.listdir(label_dir))
+            if f.lower().endswith(".pgm")
+        ]
+    elif os.path.exists(label_file):
+        label_paths = [label_file]
+    if not label_paths:
+        raise FileNotFoundError(f"sample {sid!r}: no labels under {label_root}")
+    maps = []
+    for lp in label_paths:
+        try:
+            lab = netpbm.read_netpbm(lp)
+        except netpbm.ImageFormatError as exc:
+            raise netpbm.ImageFormatError(f"sample {sid!r}: {exc}") from exc
+        if lab.ndim != 2:
+            raise ValueError(f"sample {sid!r}: label {lp} is not single-channel")
+        maps.append(lab >= 128)
+    return maps
+
+
 def load_dataset(root, list_file):
     """Load samples listed one id per line under root/images and root/labels.
 
-    Images are <id>.ppm or <id>.png; labels are either <id>.pgm or a
-    directory <id>/ of numbered .pgm annotator maps, binarized at 128/255.
+    Images are <id>.ppm, <id>.png or <id>.pnm; labels are as
+    ``load_label_maps`` reads them.
     """
     root = str(root)
     with open(list_file, "r", encoding="utf-8") as fh:
@@ -242,39 +280,10 @@ def load_dataset(root, list_file):
         if img_path is None:
             raise FileNotFoundError(f"sample {sid!r}: no image under {root}/images")
         try:
-            raw = netpbm.read_image(img_path)
+            image = read_image_chw(img_path)
         except netpbm.ImageFormatError as exc:
             raise netpbm.ImageFormatError(f"sample {sid!r}: {exc}") from exc
-        if raw.ndim == 2:
-            raw = np.stack([raw] * 3, axis=-1)
-        image = (raw.astype(np.float32) / 255.0).transpose(2, 0, 1)
-
-        label_dir = os.path.join(root, "labels", sid)
-        label_file = os.path.join(root, "labels", sid + ".pgm")
-        label_paths = []
-        if os.path.isdir(label_dir):
-            label_paths = [
-                os.path.join(label_dir, f)
-                for f in sorted(os.listdir(label_dir))
-                if f.lower().endswith(".pgm")
-            ]
-        elif os.path.exists(label_file):
-            label_paths = [label_file]
-        if not label_paths:
-            raise FileNotFoundError(f"sample {sid!r}: no labels under {root}/labels")
-        labels = []
-        for lp in label_paths:
-            try:
-                lab = netpbm.read_netpbm(lp)
-            except netpbm.ImageFormatError as exc:
-                raise netpbm.ImageFormatError(f"sample {sid!r}: {exc}") from exc
-            if lab.ndim != 2:
-                raise ValueError(f"sample {sid!r}: label {lp} is not single-channel")
-            if lab.shape != image.shape[1:]:
-                raise ValueError(
-                    f"sample {sid!r}: label size {lab.shape} != image {image.shape[1:]}"
-                )
-            labels.append((lab >= 128).astype(np.float64))
+        labels = [m.astype(np.float64) for m in load_label_maps(os.path.join(root, "labels"), sid)]
         samples.append(
             DatasetSample(image, labels, np.ones(image.shape[1:], bool), sid)
         )
@@ -343,7 +352,6 @@ class TrainConfig:
     stage: str = "global"          # global | fine
     batch_size: int = 0            # 0 = stage default (4 global, 3 fine)
     lr: float = 1e-4               # freshly initialized parameters
-    lr_pretrained: float = 1e-5    # pretrained slot; unused with random init
     weight_decay: float = 5e-4
     max_steps: int = 1000
     seed: int = 0
@@ -357,8 +365,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in ("global", "fine"):
             raise ValueError(f"stage must be global or fine, got {self.stage!r}")
-        if self.lr <= 0 or self.lr_pretrained <= 0:
-            raise ValueError("learning rates must be positive")
+        if self.lr <= 0:
+            raise ValueError("learning rate must be positive")
         if self.label_mode not in ("random", "mixed"):
             raise ValueError(f"unknown label mode {self.label_mode!r}")
 
@@ -378,7 +386,6 @@ CONFIG_KEYS = {
     "stage": ("stage", str),
     "batch_size": ("batch_size", int),
     "lr": ("lr", float),
-    "lr_pretrained": ("lr_pretrained", float),
     "weight_decay": ("weight_decay", float),
     "max_steps": ("max_steps", int),
     "seed": ("seed", int),
@@ -389,7 +396,6 @@ CONFIG_KEYS = {
     "loss.lambda": ("loss.lam", float),
     "loss.varphi": ("loss.varphi", float),
     "loss.alpha2": ("loss.alpha2", float),
-    "loss.alpha1": ("loss.alpha1", float),
     "loss.eps": ("loss.eps", float),
     "loss.literal_eq9_weights": ("loss.literal_weights", lambda s: s.lower() in ("1", "true", "yes")),
     "model.embed_dim": ("model.embed_dim", int),
@@ -431,6 +437,7 @@ def parse_config(path):
             setattr(obj, parts[-1], value)
     cfg.__post_init__()
     cfg.loss.__post_init__()
+    cfg.model.__post_init__()
     return cfg
 
 
@@ -609,12 +616,9 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
             aux_p = _crop(aux_p, H, W)
             outputs = EdgeDistribution(None, None, aux_p=aux_p)
         else:
-            outputs = model.forward_full(
-                x, training=True, rng=window_rng, include_aux=True, freeze_global=True
-            )
+            outputs = model.forward_full(x, training=True, rng=window_rng)
             outputs = EdgeDistribution(
                 _crop(outputs.mu, H, W), _crop(outputs.var, H, W),
-                aux_p=None,
                 aux_mu=_crop(outputs.aux_mu, H, W),
                 aux_var=_crop(outputs.aux_var, H, W),
             )

@@ -107,6 +107,7 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "ods=1.000000" in out
         assert "ois=1.000000" in out
+        assert [line.split("=")[0] for line in out.splitlines()] == ["ods", "ois", "ods_threshold"]
 
     def test_multigranularity_mode(self, workspace, tmp_path, capsys):
         data = workspace["data"]
@@ -120,6 +121,19 @@ class TestEvalCommand:
                    "--list", str(data / "list.txt"), "--multigranularity"])
         assert rc == 0
         assert "ods=1.000000" in capsys.readouterr().out
+
+    def test_empty_label_directory_exits_1_naming_the_sample(self, workspace, tmp_path, capsys):
+        data = workspace["data"]
+        sid = (data / "list.txt").read_text().split()[0]
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir()
+        (gt / sid).mkdir(parents=True)
+        shutil.copy(data / "labels" / f"{sid}.pgm", pred / f"{sid}.pgm")
+        ids = tmp_path / "list.txt"
+        ids.write_text(sid + "\n")
+        rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--list", str(ids)])
+        assert rc == 1
+        assert repr(sid) in capsys.readouterr().err
 
     def test_missing_prediction_exits_1(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--pred", str(tmp_path), "--gt",

@@ -102,42 +102,46 @@ class TestConv2d:
 
 class TestPointwise:
     def test_relu_triple(self):
-        out = dc.pointwise(Tensor([-1.0, 0.0, 2.0]), "relu")
+        out = dc.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_sigmoid_zero(self):
-        assert dc.pointwise(Tensor([0.0]), "sigmoid").data[0] == 0.5
+        assert dc.sigmoid(Tensor([0.0])).data[0] == 0.5
 
     def test_softplus_high_precision(self, f64):
         # extended-precision reference via float128
         x = np.float128(10.0)
         ref = float(np.log1p(np.exp(x)))
-        got = dc.pointwise(Tensor([10.0]), "softplus").item()
+        got = dc.softplus(Tensor([10.0])).item()
         assert abs(got - ref) < 1e-6
 
     def test_softplus_overflow_safe(self):
-        out = dc.pointwise(Tensor([500.0, -500.0]), "softplus")
+        out = dc.softplus(Tensor([500.0, -500.0]))
         assert np.isfinite(out.data).all()
         assert abs(out.data[0] - 500.0) < 1e-5
         assert out.data[1] >= 0.0
 
     def test_sigmoid_overflow_safe(self):
-        out = dc.pointwise(Tensor([700.0, -700.0]), "sigmoid")
+        out = dc.sigmoid(Tensor([700.0, -700.0]))
         assert out.data[0] == 1.0 and out.data[1] == 0.0
+
+    def test_sigmoid_monotone_over_every_float32_in_minus_one_to_minus_half(self):
+        # all 8,388,609 float32 values in [-1, -0.5], ascending; the granularity
+        # sweep relies on sigmoid never decreasing between neighbours
+        x = np.arange(0xBF000000, 0xBF800001, dtype=np.uint32).view(np.float32)[::-1]
+        s = dc.sigmoid(Tensor(x)).data
+        assert s.dtype == np.float32
+        assert int((s[1:] < s[:-1]).sum()) == 0
 
     def test_const_kinds(self):
         x = Tensor([1.0, 2.0])
-        np.testing.assert_allclose(dc.pointwise(x, "add-const", 3.0).data, [4.0, 5.0])
-        np.testing.assert_allclose(dc.pointwise(x, "mul-const", -2.0).data, [-2.0, -4.0])
-        np.testing.assert_allclose(dc.pointwise(x, "neg").data, [-1.0, -2.0])
+        np.testing.assert_allclose(dc.add(x, 3.0).data, [4.0, 5.0])
+        np.testing.assert_allclose(dc.mul(x, -2.0).data, [-2.0, -4.0])
+        np.testing.assert_allclose(dc.neg(x).data, [-1.0, -2.0])
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="non-positive"):
-            dc.pointwise(Tensor([1.0, 0.0]), "log")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown pointwise kind"):
-            dc.pointwise(Tensor([1.0]), "tanh")
+            dc.log(Tensor([1.0, 0.0]))
 
 
 class TestBilinear:

@@ -4,7 +4,6 @@ import pytest
 from edmb import diffcore as dc
 from edmb.diffcore.tensor import Tensor
 from edmb.encoders import (
-    EncoderConfig,
     FineEncoder,
     HighResEncoder,
     MambaEncoder,
@@ -17,7 +16,7 @@ from edmb.model import EdgeDetector, ModelConfig
 def small_cfg(**kw):
     base = dict(embed_dim=8, depths=(1, 1, 1), state_dim=2, base_hw=(64, 64))
     base.update(kw)
-    return EncoderConfig(**base)
+    return ModelConfig(**base)
 
 
 class TestGlobalEncoder:

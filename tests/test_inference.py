@@ -8,7 +8,6 @@ from edmb import netpbm
 from edmb.decoder import EdgeDistribution
 from edmb.diffcore.tensor import Tensor
 from edmb.inference import (
-    GranularityConfig,
     default_gammas,
     granularity_sweep,
     parse_gamma_range,
@@ -100,20 +99,11 @@ class TestSampleGranularity:
                     assert count >= prev
                 prev = count
 
-    def test_sigma_convention_flag(self, rng):
-        dist = random_dist(rng)
-        p_var = sample_granularity(dist, 2.0, use_sigma=False)
-        p_sd = sample_granularity(dist, 2.0, use_sigma=True)
-        assert not np.array_equal(p_var, p_sd)
-        mu, var = dist.mu.data[0, 0], dist.var.data[0, 0]
-        want = 1.0 / (1.0 + np.exp(-(mu + 2.0 * np.sqrt(var))))
-        np.testing.assert_allclose(p_sd, want, atol=1e-12)
-
 
 class TestSweep:
     def test_default_cfg_writes_eleven_maps(self, tmp_path, rng):
         dist = random_dist(rng)
-        paths = granularity_sweep(dist, GranularityConfig(), tmp_path, "img")
+        paths = granularity_sweep(dist, default_gammas(), tmp_path, "img")
         assert len(paths) == 11
         assert all(os.path.exists(p) for p in paths)
         assert os.path.basename(paths[0]) == "img_g-5.pgm"
@@ -121,14 +111,14 @@ class TestSweep:
 
     def test_single_gamma_zero_equals_quantized_sigmoid(self, tmp_path, rng):
         dist = random_dist(rng)
-        (path,) = granularity_sweep(dist, GranularityConfig(gammas=[0.0]), tmp_path, "one")
+        (path,) = granularity_sweep(dist, [0.0], tmp_path, "one")
         back = netpbm.read_netpbm(path)
         want = quantize_map(sample_granularity(dist, 0.0))
         np.testing.assert_array_equal(back, want)
 
     def test_mean_intensity_nondecreasing(self, tmp_path, rng):
         dist = random_dist(rng)
-        paths = granularity_sweep(dist, GranularityConfig(), tmp_path, "mono")
+        paths = granularity_sweep(dist, default_gammas(), tmp_path, "mono")
         means = [netpbm.read_netpbm(p).mean() for p in paths]
         assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
 

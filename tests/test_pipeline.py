@@ -263,7 +263,6 @@ class TestConfigFile:
 stage=fine
 batch_size=2
 lr=0.0002
-lr_pretrained=0.00005
 weight_decay=0.001
 max_steps=7
 seed=9
@@ -274,7 +273,6 @@ save_every=5
 loss.lambda=1.3
 loss.varphi=0.5
 loss.alpha2=0.2
-loss.alpha1=0.0
 loss.eps=0.0001
 loss.literal_eq9_weights=true
 model.embed_dim=16
@@ -298,8 +296,17 @@ model.seed=3
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("learning_rate=3\n")
-        with pytest.raises(ValueError, match="unknown config key"):
+        for line in ("learning_rate=3", "lr_pretrained=0.00005", "loss.alpha1=0.0"):
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config(path)
+
+    @pytest.mark.parametrize("line, match", [("model.depths=1,1", "three stages"),
+                                             ("model.window_keep=5", "window_keep")])
+    def test_invalid_model_rejected(self, tmp_path, line, match):
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=match):
             parse_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
