@@ -155,7 +155,8 @@ def as_tensor(x):
 
 
 def make_op(data, parents, vjp, op):
-    """Record one operation node. ``vjp(g)`` returns per-parent gradients."""
+    """Record one operation node. ``vjp(g)`` returns per-parent gradients,
+    or None for a parent that does not require grad."""
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
     out.grad = None
@@ -207,6 +208,11 @@ def backward(loss):
 
     order = topo_order(loss)
     loss.grad = np.ones_like(loss.data)
+    # Gradient arrays allocated by this call, keyed by id (they stay alive in
+    # .grad). Only these are accumulated in place: an intermediate node's
+    # first incoming gradient is adopted without a copy and may be shared
+    # with another node, so a second contribution starts a fresh array.
+    owned = set()
     for node in reversed(order):
         vjp = node._vjp
         if vjp is None:
@@ -218,8 +224,20 @@ def backward(loss):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+                if (parent._vjp is not None and g.dtype == parent.data.dtype
+                        and g.shape == parent.data.shape and g.flags.c_contiguous):
+                    # read only by the parent's own adjoint, in the layout a
+                    # fresh array would have; unlike 0 + g it keeps -0.0
+                    parent.grad = g
+                    continue
+                # 0 + g in the parent's dtype, as accumulating into zeros gives
+                parent.grad = np.add(g, 0.0, out=np.empty_like(parent.data))
+            elif id(parent.grad) in owned:
+                parent.grad += g
+                continue
+            else:
+                parent.grad = np.add(parent.grad, g, out=np.empty_like(parent.data))
+            owned.add(id(parent.grad))
         node._vjp = None
         node._done = True
 
@@ -258,7 +276,10 @@ def sub(a, b):
     return make_op(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape),
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        ),
         "sub",
     )
 
@@ -268,7 +289,10 @@ def mul(a, b):
     return make_op(
         a.data * b.data,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        ),
         "mul",
     )
 
@@ -279,8 +303,9 @@ def div(a, b):
         a.data / b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            if b.requires_grad else None,
         ),
         "div",
     )
@@ -371,10 +396,9 @@ def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        # a read-only view; backward copies it where it needs a fresh array
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.shape),)
 
     return make_op(np.asarray(out), (a,), vjp, "sum")
 
@@ -422,7 +446,7 @@ def concat(tensors, axis):
     splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=axis))
 
     return make_op(data, tuple(tensors), vjp, "concat")
 
@@ -448,9 +472,12 @@ def matmul(a, b):
     count_matmul_macs(a.shape, b.shape)
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return (ga, gb)
 
     return make_op(np.matmul(a.data, b.data), (a, b), vjp, "matmul")
 
@@ -496,13 +523,27 @@ def _conv_out_size(H, k, stride, pad):
 
 
 def _im2col(x, kh, kw, stride, pad):
+    """(B, Ho*Wo, C*kh*kw) patch rows, columns ordered (C, kh, kw)."""
     ph, pw = (pad, pad) if isinstance(pad, int) else pad
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (B,C,Ho,Wo,kh,kw)
-    B, C, Ho, Wo, _, _ = windows.shape
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(B, Ho * Wo, C * kh * kw)
-    return np.ascontiguousarray(cols), Ho, Wo
+    B, C, H, W = x.shape
+    Ho = (H + 2 * ph - kh) // stride + 1
+    Wo = (W + 2 * pw - kw) // stride + 1
+    # channels-last copy, then one strided slice per kernel tap, filled in
+    # blocks of output rows (~512 KB) that stay in cache across the taps;
+    # much faster than one copy out of the 6-D sliding-window view
+    xt = np.zeros((B, H + 2 * ph, W + 2 * pw, C), dtype=x.dtype)
+    xt[:, ph : ph + H, pw : pw + W] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((B, Ho, Wo, C, kh, kw), dtype=x.dtype)
+    rows = max(1, (1 << 17) // (Wo * C * kh * kw))
+    for b in range(B):
+        for i0 in range(0, Ho, rows):
+            i1 = min(Ho, i0 + rows)
+            block = cols[b, i0:i1]
+            for u in range(kh):
+                r0, r1 = u + stride * i0, u + stride * i1
+                for v in range(kw):
+                    block[..., u, v] = xt[b, r0:r1:stride, v : v + stride * Wo : stride]
+    return cols.reshape(B, Ho * Wo, C * kh * kw), Ho, Wo
 
 
 def _conv2d_dense_raw(x, w, stride, pad):
@@ -554,15 +595,18 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
             out = out + bias.data.reshape(1, Co, 1, 1)
 
         def vjp(g):
-            # d/d input: correlate dilated grad with channel-swapped flipped kernel
-            gd = _dilate(g, stride)
-            wfl = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx, _ = _conv2d_dense_raw(
-                gd, np.ascontiguousarray(wfl), 1, (kh - 1 - padding, kw - 1 - padding)
-            )
-            gx = gx[:, :, :H, :W]
-            g2 = g.reshape(B, Co, Ho * Wo)
-            gw = np.matmul(g2, cols).sum(axis=0).reshape(weight.shape)
+            gx = gw = None
+            if x.requires_grad:
+                # correlate the dilated grad with the channel-swapped flipped kernel
+                gd = _dilate(g, stride)
+                wfl = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                gx, _ = _conv2d_dense_raw(
+                    gd, np.ascontiguousarray(wfl), 1, (kh - 1 - padding, kw - 1 - padding)
+                )
+                gx = gx[:, :, :H, :W]
+            if weight.requires_grad:
+                g2 = g.reshape(B, Co, Ho * Wo)
+                gw = np.matmul(g2, cols).sum(axis=0).reshape(weight.shape)
             gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
             return (gx, gw, gb) if bias is not None else (gx, gw)
 
@@ -583,9 +627,11 @@ def _conv2d_1x1(x, weight, bias):
 
     def vjp(g):
         g2 = g.reshape(B, Co, H * W)
-        gx = np.matmul(wmat.T, g2).reshape(B, C, H, W)
-        xt = x.data.reshape(B, C, H * W).transpose(0, 2, 1)
-        gw = np.matmul(g2, xt).sum(axis=0).reshape(weight.shape)
+        gx = np.matmul(wmat.T, g2).reshape(B, C, H, W) if x.requires_grad else None
+        gw = None
+        if weight.requires_grad:
+            xt = x.data.reshape(B, C, H * W).transpose(0, 2, 1)
+            gw = np.matmul(g2, xt).sum(axis=0).reshape(weight.shape)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
@@ -595,29 +641,38 @@ def _conv2d_1x1(x, weight, bias):
 
 def _depthwise_conv2d(x, weight, bias, stride, pad, H, W, Ho, Wo):
     # shift-and-accumulate over the kernel taps; contiguous slices beat
-    # einsum over 6-D strided views by a wide margin at these sizes
+    # einsum over 6-D strided views by a wide margin at these sizes. Each
+    # batch item runs all taps in turn, so its slices stay in cache.
     B, C, _, _ = x.shape
     _, _, kh, kw = weight.shape
     if stride != 1:
         raise ValueError("depthwise conv2d supports stride 1 only")
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    wk = weight.data[:, 0]  # (C,kh,kw)
+    wk = weight.data[:, 0, :, :, None, None]  # (C,kh,kw,1,1)
     out = np.zeros((B, C, Ho, Wo), dtype=x.data.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            out += wk[:, u, v].reshape(1, C, 1, 1) * xp[:, :, u : u + Ho, v : v + Wo]
+    for ob, xb in zip(out, xp):
+        for u in range(kh):
+            for v in range(kw):
+                ob += wk[:, u, v] * xb[:, u : u + Ho, v : v + Wo]
     if bias is not None:
         out += bias.data.reshape(1, C, 1, 1)
     _count_macs(B * Ho * Wo * C * kh * kw)
 
     def vjp(g):
+        # gw sums over (B, Ho, Wo) as g.sum(axis=(0, 2, 3)) would: per item
+        # over (Ho, Wo), then the items in order
         gw = np.empty((C, 1, kh, kw), dtype=g.dtype)
         gxp = np.zeros_like(xp)
-        for u in range(kh):
-            for v in range(kw):
-                patch = xp[:, :, u : u + Ho, v : v + Wo]
-                gw[:, 0, u, v] = (patch * g).sum(axis=(0, 2, 3))
-                gxp[:, :, u : u + Ho, v : v + Wo] += wk[:, u, v].reshape(1, C, 1, 1) * g
+        for b in range(B):
+            gi, xb, gxb = g[b], xp[b], gxp[b]
+            for u in range(kh):
+                for v in range(kw):
+                    s = (xb[:, u : u + Ho, v : v + Wo] * gi).sum(axis=(1, 2))
+                    if b:
+                        gw[:, 0, u, v] += s
+                    else:
+                        gw[:, 0, u, v] = s
+                    gxb[:, u : u + Ho, v : v + Wo] += wk[:, u, v] * gi
         gx = gxp[:, :, pad : pad + H, pad : pad + W] if pad else gxp
         gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)

@@ -5,7 +5,7 @@ import pytest
 
 from edmb import diffcore as dc
 from edmb.diffcore import nn
-from edmb.diffcore.tensor import Tensor
+from edmb.diffcore.tensor import Tensor, _im2col
 
 
 def conv2d_loop(x, w, b, stride, pad):
@@ -98,6 +98,48 @@ class TestConv2d:
             for c in range(3)
         ])[None]
         assert np.abs(got - want).max() < 1e-6
+
+    @pytest.mark.parametrize("shape,k,stride,pad", [
+        ((2, 3, 7, 6), 3, 1, 1),
+        ((1, 4, 9, 9), 3, 2, 1),
+        ((3, 2, 5, 8), 5, 1, 2),
+        ((2, 5, 6, 7), 3, 1, (1, 0)),
+        ((1, 2, 4, 4), 1, 1, 0),
+    ])
+    def test_im2col_matches_sliding_window_rows(self, rng, shape, k, stride, pad):
+        x = rng.standard_normal(shape).astype(np.float32)
+        ph, pw = (pad, pad) if isinstance(pad, int) else pad
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        win = win[:, :, ::stride, ::stride]  # (B,C,Ho,Wo,k,k)
+        B, C, Ho, Wo = win.shape[:4]
+        want = win.transpose(0, 2, 3, 1, 4, 5).reshape(B, Ho * Wo, C * k * k)
+        got, gho, gwo = _im2col(x, k, k, stride, pad)
+        assert (gho, gwo) == (Ho, Wo)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+    def test_depthwise_gradients_match_block_diagonal_dense(self, rng, f64):
+        # batch > 1 so the per-item weight-gradient sum is exercised
+        C = 3
+        x = rng.standard_normal((3, C, 6, 5))
+        w = rng.standard_normal((C, 1, 3, 3))
+        b = rng.standard_normal(C)
+        g = rng.standard_normal((3, C, 6, 5))
+        dense_w = np.zeros((C, C, 3, 3))
+        for c in range(C):
+            dense_w[c, c] = w[c, 0]
+        grads = []
+        for weight, groups in ((w, C), (dense_w, 1)):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, weight, b))
+            out = dc.conv2d(xt, wt, bt, 1, 1, groups=groups)
+            dc.backward(dc.tsum(dc.mul(out, Tensor(g))))
+            grads.append((out.data, xt.grad, wt.grad, bt.grad))
+        (out, gx, gw, gb), (out_d, gx_d, gw_d, gb_d) = grads
+        np.testing.assert_allclose(out, out_d, atol=1e-12)
+        np.testing.assert_allclose(gx, gx_d, atol=1e-12)
+        np.testing.assert_allclose(gw[:, 0], np.stack([gw_d[c, c] for c in range(C)]), atol=1e-12)
+        np.testing.assert_allclose(gb, gb_d, atol=1e-12)
 
 
 class TestPointwise:
@@ -246,6 +288,20 @@ class TestBackward:
         dc.backward(dc.tsum(dc.mul(x1, x1)))
         gg = x1.grad.copy()
         np.testing.assert_allclose(combined, a * gf + b * gg, atol=1e-6)
+
+    def test_constant_operands_receive_no_gradient(self, rng):
+        image = Tensor(rng.standard_normal((2, 3, 5, 5)))
+        scale = Tensor(rng.standard_normal((1, 4, 1, 1)))
+        w = dc.randn(rng, (4, 3, 3, 3), requires_grad=True)
+        y = dc.mul(dc.conv2d(image, w, None, 1, 1), scale)
+        dc.backward(dc.tsum(dc.matmul(y, Tensor(np.ones((5, 2))))))
+        assert image.grad is None and scale.grad is None
+        # d/dw of sum(scale * conv(image, w)) @ ones(5, 2): every output
+        # pixel counts twice, weighted by its channel's scale
+        xp = np.pad(image.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+        want = 2 * scale.data.reshape(4, 1, 1, 1) * win.sum(axis=(0, 2, 3))[None]
+        np.testing.assert_allclose(w.grad, want, rtol=1e-4, atol=1e-4)
 
     def test_no_grad_blocks_recording(self, rng):
         x = dc.randn(rng, (3,), requires_grad=True)
