@@ -208,11 +208,6 @@ def backward(loss):
 
     order = topo_order(loss)
     loss.grad = np.ones_like(loss.data)
-    # Gradient arrays allocated by this call, keyed by id (they stay alive in
-    # .grad). Only these are accumulated in place: an intermediate node's
-    # first incoming gradient is adopted without a copy and may be shared
-    # with another node, so a second contribution starts a fresh array.
-    owned = set()
     for node in reversed(order):
         vjp = node._vjp
         if vjp is None:
@@ -224,20 +219,8 @@ def backward(loss):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                if (parent._vjp is not None and g.dtype == parent.data.dtype
-                        and g.shape == parent.data.shape and g.flags.c_contiguous):
-                    # read only by the parent's own adjoint, in the layout a
-                    # fresh array would have; unlike 0 + g it keeps -0.0
-                    parent.grad = g
-                    continue
-                # 0 + g in the parent's dtype, as accumulating into zeros gives
-                parent.grad = np.add(g, 0.0, out=np.empty_like(parent.data))
-            elif id(parent.grad) in owned:
-                parent.grad += g
-                continue
-            else:
-                parent.grad = np.add(parent.grad, g, out=np.empty_like(parent.data))
-            owned.add(id(parent.grad))
+                parent.grad = np.zeros_like(parent.data)
+            parent.grad += g
         node._vjp = None
         node._done = True
 
@@ -396,9 +379,10 @@ def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        # a read-only view; backward copies it where it needs a fresh array
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape),)
+        if axis is None:
+            return (np.broadcast_to(g, a.shape).copy(),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.shape).copy(),)
 
     return make_op(np.asarray(out), (a,), vjp, "sum")
 
@@ -446,7 +430,7 @@ def concat(tensors, axis):
     splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return make_op(data, tuple(tensors), vjp, "concat")
 
@@ -641,38 +625,29 @@ def _conv2d_1x1(x, weight, bias):
 
 def _depthwise_conv2d(x, weight, bias, stride, pad, H, W, Ho, Wo):
     # shift-and-accumulate over the kernel taps; contiguous slices beat
-    # einsum over 6-D strided views by a wide margin at these sizes. Each
-    # batch item runs all taps in turn, so its slices stay in cache.
+    # einsum over 6-D strided views by a wide margin at these sizes
     B, C, _, _ = x.shape
     _, _, kh, kw = weight.shape
     if stride != 1:
         raise ValueError("depthwise conv2d supports stride 1 only")
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    wk = weight.data[:, 0, :, :, None, None]  # (C,kh,kw,1,1)
+    wk = weight.data[:, 0]  # (C,kh,kw)
     out = np.zeros((B, C, Ho, Wo), dtype=x.data.dtype)
-    for ob, xb in zip(out, xp):
-        for u in range(kh):
-            for v in range(kw):
-                ob += wk[:, u, v] * xb[:, u : u + Ho, v : v + Wo]
+    for u in range(kh):
+        for v in range(kw):
+            out += wk[:, u, v].reshape(1, C, 1, 1) * xp[:, :, u : u + Ho, v : v + Wo]
     if bias is not None:
         out += bias.data.reshape(1, C, 1, 1)
     _count_macs(B * Ho * Wo * C * kh * kw)
 
     def vjp(g):
-        # gw sums over (B, Ho, Wo) as g.sum(axis=(0, 2, 3)) would: per item
-        # over (Ho, Wo), then the items in order
         gw = np.empty((C, 1, kh, kw), dtype=g.dtype)
         gxp = np.zeros_like(xp)
-        for b in range(B):
-            gi, xb, gxb = g[b], xp[b], gxp[b]
-            for u in range(kh):
-                for v in range(kw):
-                    s = (xb[:, u : u + Ho, v : v + Wo] * gi).sum(axis=(1, 2))
-                    if b:
-                        gw[:, 0, u, v] += s
-                    else:
-                        gw[:, 0, u, v] = s
-                    gxb[:, u : u + Ho, v : v + Wo] += wk[:, u, v] * gi
+        for u in range(kh):
+            for v in range(kw):
+                patch = xp[:, :, u : u + Ho, v : v + Wo]
+                gw[:, 0, u, v] = (patch * g).sum(axis=(0, 2, 3))
+                gxp[:, :, u : u + Ho, v : v + Wo] += wk[:, u, v].reshape(1, C, 1, 1) * g
         gx = gxp[:, :, pad : pad + H, pad : pad + W] if pad else gxp
         gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)

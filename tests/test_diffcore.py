@@ -289,6 +289,21 @@ class TestBackward:
         gg = x1.grad.copy()
         np.testing.assert_allclose(combined, a * gf + b * gg, atol=1e-6)
 
+    def test_residual_beside_another_branch(self):
+        # q1 feeds both a residual add and a scaled branch, next to an
+        # independent branch r; every node's gradient must be its own
+        # array, or accumulating into q1 leaks into r
+        c = Tensor([[2.0, 3.0, 5.0], [7.0, 11.0, 13.0]])
+        x1 = Tensor(np.zeros((2, 3)), requires_grad=True)
+        x2 = Tensor(np.zeros((2, 3)), requires_grad=True)
+        q1 = dc.mul(x1, 1.0)
+        q = dc.add(q1, dc.mul(q1, c))
+        r = dc.mul(x2, 1.0)
+        dc.backward(dc.tsum(dc.add(q, r)))
+        np.testing.assert_array_equal(x1.grad, 1.0 + c.data)
+        np.testing.assert_array_equal(x2.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(r.grad, np.ones((2, 3)))
+
     def test_constant_operands_receive_no_gradient(self, rng):
         image = Tensor(rng.standard_normal((2, 3, 5, 5)))
         scale = Tensor(rng.standard_normal((1, 4, 1, 1)))
