@@ -111,14 +111,14 @@ def cmd_train(args):
 
 def cmd_infer(args):
     from . import netpbm
-    from .inference import predict_distribution, quantize_map, sample_granularity
+    from .inference import predict_distribution, sample_granularity
     from .pipeline import read_image_chw
 
     model = _load_model_from_ckpt(args.ckpt)
     image = read_image_chw(args.image)
     dist = predict_distribution(model, image)
     p = sample_granularity(dist, args.gamma)
-    netpbm.write_pgm(args.out, quantize_map(p))
+    netpbm.write_pgm(args.out, p)
     print(f"wrote {args.out} (gamma={args.gamma:g})")
     return 0
 
@@ -140,10 +140,9 @@ def cmd_sweep(args):
 def cmd_eval(args):
     from . import netpbm
     from .eval import eval_multigranularity, f_curve, nms_thin
-    from .pipeline import load_label_maps
+    from .pipeline import load_label_maps, read_id_list
 
-    with open(args.list_file, "r", encoding="utf-8") as fh:
-        ids = [line.strip() for line in fh if line.strip()]
+    ids = read_id_list(args.list_file)
     gts = [load_label_maps(args.gt, sid) for sid in ids]
 
     def prep(path):

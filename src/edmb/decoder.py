@@ -37,9 +37,9 @@ class MBConv(nn.Module):
     wide concatenated inputs; residual applies when in/out shapes match.
     """
 
-    def __init__(self, in_ch, out_ch, rng, expand=4):
+    def __init__(self, in_ch, out_ch, rng):
         super().__init__()
-        hidden = expand * out_ch
+        hidden = 4 * out_ch
         self.residual = in_ch == out_ch
         self.expand = nn.Conv2d(in_ch, hidden, 1, rng, bias=False)
         self.norm1 = nn.Norm2d(hidden)
@@ -58,39 +58,26 @@ class MBConv(nn.Module):
 
 
 class CFF(nn.Module):
-    """Cascaded feature fusion: repeatedly upsample the running map, join the
-    next finer level channelwise, and fuse; returns the stride-1 result."""
+    """Cascaded feature fusion: repeatedly upsample the running map to the
+    next finer level's size, join that level channelwise, and fuse; returns
+    the result at the finest level's size. Levels arrive coarse to fine,
+    each an integer factor larger than the one before."""
 
-    def __init__(self, level_channels, strides, out_ch, rng):
+    def __init__(self, level_channels, out_ch, rng):
         super().__init__()
-        if list(strides) != sorted(strides, reverse=True) or len(set(strides)) != len(strides):
-            raise ValueError(f"strides must be strictly decreasing, got {strides}")
-        if strides[-1] != 1:
-            raise ValueError(f"finest level must be stride 1, got {strides[-1]}")
-        self.strides = list(strides)
-        self.out_ch = out_ch
-        if len(level_channels) == 1:
-            self.fuses = [MBConv(level_channels[0], out_ch, rng)]
-        else:
-            fuses = []
-            cur = level_channels[0]
-            for ch in level_channels[1:]:
-                fuses.append(MBConv(cur + ch, out_ch, rng))
-                cur = out_ch
-            self.fuses = fuses
+        self.fuses = []
+        cur = level_channels[0]
+        for ch in level_channels[1:]:
+            self.fuses.append(MBConv(cur + ch, out_ch, rng))
+            cur = out_ch
 
     def __call__(self, maps):
-        if len(maps) != len(self.strides):
-            raise ValueError(
-                f"expected {len(self.strides)} levels, got {len(maps)}"
-            )
-        if len(maps) == 1:
-            return self.fuses[0](maps[0])
+        if len(maps) != len(self.fuses) + 1:
+            raise ValueError(f"expected {len(self.fuses) + 1} levels, got {len(maps)}")
         current = maps[0]
-        for i, finer in enumerate(maps[1:]):
-            ratio = self.strides[i] // self.strides[i + 1]
-            up = dc.bilinear_upsample(current, ratio)
-            current = self.fuses[i](dc.concat([up, finer], axis=1))
+        for fuse, finer in zip(self.fuses, maps[1:]):
+            up = dc.bilinear_upsample(current, finer.shape[2] // current.shape[2])
+            current = fuse(dc.concat([up, finer], axis=1))
         return current
 
 
@@ -120,16 +107,10 @@ class SFT(nn.Module):
 class Head(nn.Module):
     """Stack of Conv-Norm-ReLU blocks ending in a single-channel 1x1 conv."""
 
-    def __init__(self, in_ch, rng, blocks=2, width=None):
+    def __init__(self, in_ch, rng, blocks=2):
         super().__init__()
-        width = width or in_ch
-        layers = []
-        cur = in_ch
-        for _ in range(blocks):
-            layers.append(nn.ConvNormRelu(cur, width, rng))
-            cur = width
-        self.blocks = layers
-        self.final = nn.Conv2d(cur, 1, 1, rng)
+        self.blocks = [nn.ConvNormRelu(in_ch, in_ch, rng) for _ in range(blocks)]
+        self.final = nn.Conv2d(in_ch, 1, 1, rng)
 
     def __call__(self, x):
         for blk in self.blocks:
@@ -146,10 +127,9 @@ class LGDDecoder(nn.Module):
         # levels arrive coarse to fine: scan pyramid reversed, then high-res
         g_levels = list(reversed(global_channels)) + list(reversed(high_channels))
         f_levels = list(reversed(fine_channels)) + list(reversed(high_channels))
-        strides = [16, 8, 4, 2, 1]
-        self.cff_global = CFF(g_levels, strides, out_ch, rng)
-        self.cff_mean = CFF(f_levels, strides, out_ch, rng)
-        self.cff_var = CFF(f_levels, strides, out_ch, rng)
+        self.cff_global = CFF(g_levels, out_ch, rng)
+        self.cff_mean = CFF(f_levels, out_ch, rng)
+        self.cff_var = CFF(f_levels, out_ch, rng)
         self.sft_mean = SFT(out_ch, out_ch, rng)
         self.sft_var = SFT(out_ch, out_ch, rng)
         self.mean_head = Head(out_ch, rng, head_blocks)
@@ -160,8 +140,7 @@ class LGDDecoder(nn.Module):
 
     @staticmethod
     def _levels(pyramid, high):
-        maps = list(reversed(pyramid.maps)) + list(reversed(high.maps))
-        return maps
+        return pyramid[::-1] + high[::-1]
 
     def guide(self, f_g, f_h):
         """The stride-1 global map that conditions both fine branches."""

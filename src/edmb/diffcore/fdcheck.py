@@ -12,7 +12,7 @@ import numpy as np
 from . import tensor as T
 
 
-def finite_diff_check(f, params, eps=1e-4, max_coords=24, rng=None, refine=True):
+def finite_diff_check(f, params, eps=1e-4, max_coords=24, rng=None):
     """Max relative error between analytic and numeric gradients.
 
     ``f()`` evaluates a scalar Tensor from ``params`` (a Tensor or a sequence
@@ -21,10 +21,10 @@ def finite_diff_check(f, params, eps=1e-4, max_coords=24, rng=None, refine=True)
     max |analytic - numeric| / (|analytic| + |numeric| + 1e-12) over the
     sampled coordinates.
 
-    With ``refine`` (default), each difference quotient is validated against
-    a 4x smaller step and the step shrinks (never below the 1e-6 floor of
-    the eps domain) while the quotient itself is unstable; a step whose
-    interval straddles a ReLU kink measures the kink, not the gradient.
+    Each difference quotient is validated against a 4x smaller step, and the
+    step shrinks (never below the 1e-6 floor of the eps domain) while the
+    quotient itself is unstable; a step whose interval straddles a ReLU kink
+    measures the kink, not the gradient.
     """
     if not 1e-6 <= eps <= 1e-2:
         raise ValueError(f"eps must lie in [1e-6, 1e-2], got {eps}")
@@ -80,16 +80,15 @@ def finite_diff_check(f, params, eps=1e-4, max_coords=24, rng=None, refine=True)
 
             h = eps * scale
             numeric = quotient(h)
-            if refine:
-                floor = 1e-6 * scale
-                while h > floor * 1.01:
-                    h_next = max(h / 4.0, floor)
-                    nxt = quotient(h_next)
-                    stable = abs(numeric - nxt) <= 1e-5 * (abs(nxt) + abs(numeric) + 1e-9)
-                    numeric = nxt
-                    h = h_next
-                    if stable:
-                        break
+            floor = 1e-6 * scale
+            while h > floor * 1.01:
+                h_next = max(h / 4.0, floor)
+                nxt = quotient(h_next)
+                stable = abs(numeric - nxt) <= 1e-5 * (abs(nxt) + abs(numeric) + 1e-9)
+                numeric = nxt
+                h = h_next
+                if stable:
+                    break
             a = analytic[i].reshape(-1)[c]
             err = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
             worst = max(worst, err)

@@ -6,6 +6,7 @@ dims, then float32 little-endian row-major payload.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -42,9 +43,15 @@ def read_tensor(fh):
     count = 1
     for d in dims:
         count *= d
+    # bound the payload by the bytes left before reading, so a corrupt
+    # shape fails here instead of allocating for it
+    pos = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - pos
+    fh.seek(pos)
+    if 4 * count > left:
+        raise FormatError(f"truncated tensor payload for shape {dims}: "
+                          f"{4 * count} bytes needed, {left} left")
     payload = fh.read(4 * count)
-    if len(payload) != 4 * count:
-        raise FormatError(f"truncated tensor payload for shape {dims}")
     return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 

@@ -103,7 +103,9 @@ class Module:
             out.update(child._buffer_owners(prefix + name + "."))
         return out
 
-    def load_state_arrays(self, arrays, strict=True):
+    def load_state_arrays(self, arrays):
+        """Load every parameter and buffer; unknown, missing or mis-shaped
+        entries raise."""
         params = dict(self.named_parameters())
         owners = self._buffer_owners()
         dt = T.default_dtype()
@@ -112,9 +114,7 @@ class Module:
             kind, _, name = key.partition(".")
             if kind == "param":
                 if name not in params:
-                    if strict:
-                        raise KeyError(f"unknown parameter {name!r} in state")
-                    continue
+                    raise KeyError(f"unknown parameter {name!r} in state")
                 p = params[name]
                 if tuple(arr.shape) != p.shape:
                     raise ValueError(
@@ -123,61 +123,55 @@ class Module:
                 p.data = np.ascontiguousarray(arr, dtype=dt)
             elif kind == "buffer":
                 if name not in owners:
-                    if strict:
-                        raise KeyError(f"unknown buffer {name!r} in state")
-                    continue
+                    raise KeyError(f"unknown buffer {name!r} in state")
                 mod, local = owners[name]
                 mod.set_buffer(local, arr)
             seen.add(key)
-        if strict:
-            expected = {"param." + n for n, _ in self.named_parameters()}
-            expected |= {"buffer." + n for n in owners}
-            missing = expected - seen
-            if missing:
-                raise KeyError(f"state is missing entries: {sorted(missing)[:4]} ...")
+        expected = {"param." + n for n in params} | {"buffer." + n for n in owners}
+        missing = expected - seen
+        if missing:
+            raise KeyError(f"state is missing entries: {sorted(missing)[:4]} ...")
 
 
 class Linear(Module):
-    def __init__(self, in_dim, out_dim, rng, bias=True, std=None, zero_init=False):
+    def __init__(self, in_dim, out_dim, rng, zero_init=False):
         super().__init__()
         if zero_init:
             w = np.zeros((in_dim, out_dim))
         else:
-            s = std if std is not None else 1.0 / math.sqrt(in_dim)
+            s = 1.0 / math.sqrt(in_dim)
             w = rng.standard_normal((in_dim, out_dim)) * s
         self.weight = T.parameter(w)
-        self.bias = T.parameter(np.zeros(out_dim)) if bias else None
+        self.bias = T.parameter(np.zeros(out_dim))
 
     def __call__(self, x):
-        y = T.matmul(x, self.weight)
-        if self.bias is not None:
-            y = T.add(y, self.bias)
-        return y
+        return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None,
-                 groups=1, bias=True, std=None):
+    """Stride-1 convolution with "same" padding and He-normal weights."""
+
+    def __init__(self, in_ch, out_ch, kernel, rng, groups=1, bias=True):
         super().__init__()
-        self.stride = stride
-        self.padding = kernel // 2 if padding is None else padding
+        self.padding = kernel // 2
         self.groups = groups
         fan_in = (in_ch // groups) * kernel * kernel
-        s = std if std is not None else math.sqrt(2.0 / fan_in)
+        s = math.sqrt(2.0 / fan_in)
         w = rng.standard_normal((out_ch, in_ch // groups, kernel, kernel)) * s
         self.weight = T.parameter(w)
         self.bias = T.parameter(np.zeros(out_ch)) if bias else None
 
     def __call__(self, x):
-        return T.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups)
+        return T.conv2d(x, self.weight, self.bias, 1, self.padding, self.groups)
 
 
 class LayerNorm(Module):
     """Normalization over the trailing feature dimension, with affine."""
 
-    def __init__(self, dim, eps=1e-5):
+    eps = 1e-5
+
+    def __init__(self, dim):
         super().__init__()
-        self.eps = eps
         self.gamma = T.parameter(np.ones(dim))
         self.beta = T.parameter(np.zeros(dim))
 
@@ -197,10 +191,11 @@ class Norm2d(Module):
     running statistics, so inference is batch-size independent.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = T.parameter(np.ones(channels))
         self.beta = T.parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
@@ -209,23 +204,21 @@ class Norm2d(Module):
     def __call__(self, x):
         B = x.shape[0]
         c_shape = (1, x.shape[1], 1, 1)
-        if self.training and B > 1:
-            mu = T.tmean(x, axis=(0, 2, 3), keepdims=True)
+        if self.training:
+            axes = (0, 2, 3) if B > 1 else (2, 3)
+            mu = T.tmean(x, axis=axes, keepdims=True)
             xc = T.sub(x, mu)
-            var = T.tmean(T.mul(xc, xc), axis=(0, 2, 3), keepdims=True)
-            m = self.momentum
-            self.set_buffer(
-                "running_mean",
-                (1 - m) * self.buffer("running_mean") + m * mu.data.reshape(-1),
-            )
-            self.set_buffer(
-                "running_var",
-                (1 - m) * self.buffer("running_var") + m * var.data.reshape(-1),
-            )
-        elif self.training:
-            mu = T.tmean(x, axis=(2, 3), keepdims=True)
-            xc = T.sub(x, mu)
-            var = T.tmean(T.mul(xc, xc), axis=(2, 3), keepdims=True)
+            var = T.tmean(T.mul(xc, xc), axis=axes, keepdims=True)
+            if B > 1:
+                m = self.momentum
+                self.set_buffer(
+                    "running_mean",
+                    (1 - m) * self.buffer("running_mean") + m * mu.data.reshape(-1),
+                )
+                self.set_buffer(
+                    "running_var",
+                    (1 - m) * self.buffer("running_var") + m * var.data.reshape(-1),
+                )
         else:
             mu = Tensor(self.buffer("running_mean").reshape(c_shape))
             xc = T.sub(x, mu)
@@ -241,9 +234,9 @@ class ConvNormRelu(Module):
     No conv bias: the following norm would cancel it exactly.
     """
 
-    def __init__(self, in_ch, out_ch, rng, kernel=3):
+    def __init__(self, in_ch, out_ch, rng):
         super().__init__()
-        self.conv = Conv2d(in_ch, out_ch, kernel, rng, bias=False)
+        self.conv = Conv2d(in_ch, out_ch, 3, rng, bias=False)
         self.norm = Norm2d(out_ch)
 
     def __call__(self, x):

@@ -336,15 +336,12 @@ def relu(a):
     return make_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,), "relu")
 
 
-def _sigmoid_raw(x):
-    # overflow-safe; unlike exp(x) / (1 + exp(x)) it never decreases between
-    # neighbouring float32 inputs, which the granularity sweep relies on
-    return expit(x)
-
-
 def sigmoid(a):
     a = as_tensor(a)
-    s = _sigmoid_raw(a.data)
+    # expit is overflow-safe and, unlike exp(x) / (1 + exp(x)), never
+    # decreases between neighbouring float32 inputs, which the granularity
+    # sweep relies on
+    s = expit(a.data)
     return make_op(s, (a,), lambda g: (g * s * (1.0 - s),), "sigmoid")
 
 
@@ -356,7 +353,7 @@ def _softplus_raw(x):
 def softplus(a):
     a = as_tensor(a)
     out = _softplus_raw(a.data)
-    return make_op(out, (a,), lambda g: (g * _sigmoid_raw(a.data),), "softplus")
+    return make_op(out, (a,), lambda g: (g * expit(a.data),), "softplus")
 
 
 def clamp_min(a, lo):
@@ -656,15 +653,15 @@ def _depthwise_conv2d(x, weight, bias, stride, pad, H, W, Ho, Wo):
     return make_op(out, parents, vjp, "conv2d")
 
 
-def max_pool2d(x, kernel=2, stride=None):
-    """Max pooling; gradient routes to the argmax of each window."""
+def max_pool2d(x, kernel=2):
+    """Non-overlapping max pooling (stride = kernel); gradient routes to the
+    argmax of each window."""
     x = as_tensor(x)
-    stride = stride or kernel
     B, C, H, W = x.shape
-    if H % stride or W % stride:
-        raise ValueError(f"max_pool2d: size {H}x{W} not divisible by stride {stride}")
+    if H % kernel or W % kernel:
+        raise ValueError(f"max_pool2d: size {H}x{W} not divisible by {kernel}")
     win = np.lib.stride_tricks.sliding_window_view(x.data, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
+    win = win[:, :, ::kernel, ::kernel]
     B, C, Ho, Wo, _, _ = win.shape
     flat = win.reshape(B, C, Ho, Wo, kernel * kernel)
     arg = flat.argmax(axis=-1)
@@ -673,8 +670,8 @@ def max_pool2d(x, kernel=2, stride=None):
     def vjp(g):
         gx = np.zeros_like(x.data)
         bi, ci, ii, ji = np.indices((B, C, Ho, Wo))
-        rows = ii * stride + arg // kernel
-        cols = ji * stride + arg % kernel
+        rows = ii * kernel + arg // kernel
+        cols = ji * kernel + arg % kernel
         np.add.at(gx, (bi, ci, rows, cols), g)
         return (gx,)
 
@@ -746,8 +743,8 @@ def ones(shape, requires_grad=False):
     return Tensor(np.ones(shape, dtype=default_dtype()), requires_grad=requires_grad)
 
 
-def randn(rng, shape, std=1.0, requires_grad=False):
-    data = rng.standard_normal(shape) * std
+def randn(rng, shape, requires_grad=False):
+    data = rng.standard_normal(shape)
     return Tensor(data.astype(default_dtype()), requires_grad=requires_grad)
 
 

@@ -7,30 +7,15 @@ channels doubling at each 2x2 token merge. The fine-grained encoder runs the
 same network over the four image quadrants; during training only a random
 subset of windows records gradients while all windows contribute activations.
 Both scan encoders read their architecture from the model's ``ModelConfig``.
+Every encoder returns its feature maps as a list, finest first; a map's
+stride is the input size over its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import diffcore as dc
 from .diffcore import nn
 from .ssm import PatchEmbed, PatchMerge, VimBlock
-
-
-@dataclass
-class FeaturePyramid:
-    """Named multi-scale feature maps with their strides, coarse last."""
-
-    maps: list
-    strides: list
-
-    def __post_init__(self):
-        if len(self.maps) != len(self.strides):
-            raise ValueError("maps and strides must align")
-
-    def __iter__(self):
-        return iter(zip(self.strides, self.maps))
 
 
 class MambaEncoder(nn.Module):
@@ -53,22 +38,19 @@ class MambaEncoder(nn.Module):
         if H % 16 or W % 16:
             raise ValueError(f"encoder input {H}x{W} must be divisible by 16")
         seq = self.patch(image)
-        maps, strides = [], []
+        maps = []
         for blk in self.stage0:
             seq = blk(seq)
         maps.append(seq.to_map())
-        strides.append(4)
         seq = self.merge01(seq)
         for blk in self.stage1:
             seq = blk(seq)
         maps.append(seq.to_map())
-        strides.append(8)
         seq = self.merge12(seq)
         for blk in self.stage2:
             seq = blk(seq)
         maps.append(seq.to_map())
-        strides.append(16)
-        return FeaturePyramid(maps, strides)
+        return maps
 
 
 def window_split(x):
@@ -130,20 +112,16 @@ class FineEncoder(nn.Module):
                 with dc.no_grad():
                     per_window[i] = self.net(win)
 
-        maps = []
-        for lvl in range(3):
-            tiles = [per_window[i].maps[lvl] for i in range(4)]
-            maps.append(window_reassemble(tiles))
-        return FeaturePyramid(maps, [4, 8, 16])
+        return [window_reassemble([maps[lvl] for maps in per_window]) for lvl in range(3)]
 
 
 class HighResEncoder(nn.Module):
     """Two plain conv+ReLU blocks keeping full resolution, 16 then 32
     channels, with a 2x2 max-pool between them."""
 
-    def __init__(self, rng, in_ch=3, width=16):
+    def __init__(self, rng, width=16):
         super().__init__()
-        self.conv1 = nn.Conv2d(in_ch, width, 3, rng)
+        self.conv1 = nn.Conv2d(3, width, 3, rng)
         self.conv2 = nn.Conv2d(width, width * 2, 3, rng)
 
     def __call__(self, image):
@@ -152,4 +130,4 @@ class HighResEncoder(nn.Module):
             raise ValueError(f"high-res encoder input {H}x{W} must be even")
         f1 = dc.relu(self.conv1(image))
         f2 = dc.relu(self.conv2(dc.max_pool2d(f1, 2)))
-        return FeaturePyramid([f1, f2], [1, 2])
+        return [f1, f2]

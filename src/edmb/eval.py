@@ -49,14 +49,11 @@ def _map_images(work, items):
 # -- non-maximum suppression --------------------------------------------------------
 
 
-def _gauss_kernel5(sigma=1.0):
+def _smooth5(a):
+    """Separable 5x5 Gaussian smoothing (sigma 1), edges replicated."""
     x = np.arange(-2, 3, dtype=np.float64)
-    k = np.exp(-(x**2) / (2 * sigma * sigma))
-    return k / k.sum()
-
-
-def _smooth5(a, sigma=1.0):
-    k = _gauss_kernel5(sigma)
+    k = np.exp(-(x**2) / 2.0)
+    k = k / k.sum()
     return convolve1d(convolve1d(a, k, axis=1, mode="nearest"), k, axis=0, mode="nearest")
 
 
@@ -72,13 +69,13 @@ def _bilinear_at(a, yy, xx):
             + wy * (1 - wx) * a[y1, x0] + wy * wx * a[y1, x1])
 
 
-def nms_thin(prob, tol=1.01):
+def nms_thin(prob):
     """Suppress pixels that are not local maxima across the edge.
 
     Orientation comes from central-difference gradients of a 5x5 Gaussian
     smoothing (sigma 1); each pixel is compared against bilinearly sampled
-    neighbors one pixel away along +/- the gradient direction. Survivors
-    keep their original values.
+    neighbors one pixel away along +/- the gradient direction, with 1%
+    tolerance. Survivors keep their original values.
     """
     E = np.asarray(prob, dtype=np.float64)
     if E.ndim != 2:
@@ -95,7 +92,7 @@ def nms_thin(prob, tol=1.01):
     ii, jj = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
     ahead = _bilinear_at(E, ii + uy, jj + ux)
     behind = _bilinear_at(E, ii - uy, jj - ux)
-    keep = (E * tol >= ahead) & (E * tol >= behind)
+    keep = (E * 1.01 >= ahead) & (E * 1.01 >= behind)
     out = E.copy()
     out[~keep] = 0.0
     return out
@@ -211,6 +208,11 @@ def image_counts(pred_map, gt_maps, thresholds, max_dist_frac=0.0075):
     Recall pools one-to-one matches against every annotator map; precision
     counts predicted pixels matched in at least one map.
     """
+    for g in gt_maps:
+        if g.shape != pred_map.shape:
+            raise ValueError(
+                f"prediction shape {pred_map.shape} differs from label shape {g.shape}"
+            )
     T = len(thresholds)
     cnt_p = np.zeros(T)
     sum_p = np.zeros(T)
@@ -239,21 +241,12 @@ def f_curve(preds, gts, thresholds=33, max_dist_frac=0.0075):
     The reported curves pool matching counts over the dataset. The ODS
     summary picks the shared threshold maximizing the mean per-image F and
     OIS averages each image's best-threshold F, so the per-image optimum
-    dominates the shared optimum by construction.
+    dominates the shared optimum by construction. This is the one-sample
+    case of ``eval_multigranularity``.
     """
-    if isinstance(thresholds, int):
-        thresholds = default_thresholds(thresholds)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    gts = _normalize_gts(gts)
     if len(preds) != len(gts):
         raise ValueError(f"{len(preds)} predictions vs {len(gts)} ground truths")
-
-    def work(args):
-        pred, gt_maps = args
-        return image_counts(np.asarray(pred, dtype=np.float64), gt_maps,
-                            thresholds, max_dist_frac)
-
-    return _aggregate(_map_images(work, zip(preds, gts)), thresholds)
+    return eval_multigranularity([[p] for p in preds], gts, thresholds, max_dist_frac)
 
 
 def _aggregate(per_image, thresholds):
@@ -285,9 +278,9 @@ def eval_multigranularity(sample_sets, gts, thresholds=33, max_dist_frac=0.0075)
     """Best-sample-per-image protocol over M candidate maps per image.
 
     At each dataset threshold every image contributes the counts of its
-    best-F sample, and the chosen counts are aggregated as in ``f_curve``:
-    ODS maximizes the mean per-image F over thresholds, OIS averages each
-    image's best (sample, threshold) F.
+    best-F sample, and the chosen counts are aggregated into pooled P/R/F
+    curves: ODS maximizes the mean per-image F over thresholds, OIS
+    averages each image's best (sample, threshold) F.
     """
     if isinstance(thresholds, int):
         thresholds = default_thresholds(thresholds)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from scipy.special import expit
 
 from . import diffcore as dc
 from . import netpbm
 from .decoder import EdgeDistribution
-from .diffcore.tensor import Tensor, _sigmoid_raw
-from .pipeline import pad_to_multiple
+from .diffcore.tensor import Tensor
+from .pipeline import stage_outputs
 
 
 def default_gammas():
@@ -37,17 +38,13 @@ def predict_distribution(model, image) -> EdgeDistribution:
         arr = arr[None]
     if arr.ndim != 4 or arr.shape[1] != 3:
         raise ValueError(f"predict_distribution: expected (3,H,W) image, got {arr.shape}")
-    padded, H, W = pad_to_multiple(arr, 32)
     was_training = model.training
     model.eval()
     try:
         with dc.no_grad():
-            dist = model.forward_full(Tensor(padded), training=False, include_aux=False)
+            return stage_outputs(model, arr, "fine", include_aux=False)
     finally:
         model.train(was_training)
-    mu = dist.mu.data[:, :, :H, :W]
-    var = dist.var.data[:, :, :H, :W]
-    return EdgeDistribution(Tensor(mu.copy()), Tensor(var.copy()))
 
 
 def sample_granularity(dist: EdgeDistribution, gamma):
@@ -55,13 +52,8 @@ def sample_granularity(dist: EdgeDistribution, gamma):
     mu = dist.mu.data if isinstance(dist.mu, Tensor) else np.asarray(dist.mu)
     var = dist.var.data if isinstance(dist.var, Tensor) else np.asarray(dist.var)
     logits = mu + gamma * var if gamma != 0.0 else mu
-    out = _sigmoid_raw(logits)
+    out = expit(logits)
     return out.reshape(out.shape[-2], out.shape[-1])
-
-
-def quantize_map(p):
-    """[0,1] float map to uint8; dequantizing stays within 1/510."""
-    return np.clip(np.rint(np.asarray(p) * 255.0), 0, 255).astype(np.uint8)
 
 
 def granularity_sweep(dist: EdgeDistribution, gammas, out_dir, image_id="edge"):
@@ -72,7 +64,7 @@ def granularity_sweep(dist: EdgeDistribution, gammas, out_dir, image_id="edge"):
         p = sample_granularity(dist, gamma)
         path = os.path.join(out_dir, f"{image_id}_g{gamma:g}.pgm")
         try:
-            netpbm.write_pgm(path, quantize_map(p))
+            netpbm.write_pgm(path, p)
         except OSError as exc:
             raise OSError(f"failed writing sweep map {path}: {exc}") from exc
         paths.append(path)

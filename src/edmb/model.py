@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,23 +71,22 @@ class EdgeDetector(nn.Module):
 
     # -- parameter grouping (freezing, optimizer membership) ---------------------
 
+    # the modules the fine stage freezes: both global-branch encoders, the
+    # global fusion cascade and the direct edge head
+    GLOBAL_BRANCH = ("global_enc", "high_enc", "decoder.cff_global", "decoder.edge_head")
+
     def global_param_names(self):
-        """Parameters untouched by fine-stage training: both frozen encoders,
-        the global fusion cascade, and the direct edge head."""
-        names = set()
-        for prefix in ("global_enc.", "high_enc.", "decoder.cff_global.", "decoder.edge_head."):
-            names.update(n for n, _ in self.named_parameters() if n.startswith(prefix))
-        return names
+        """Parameters of ``GLOBAL_BRANCH``, untouched by fine-stage training."""
+        prefixes = tuple(path + "." for path in self.GLOBAL_BRANCH)
+        return {n for n, _ in self.named_parameters() if n.startswith(prefixes)}
 
     def fine_param_names(self):
         return {n for n, _ in self.named_parameters()} - self.global_param_names()
 
     def set_frozen_eval(self):
-        """Put the frozen global modules in eval mode (fixed norm statistics)."""
-        self.global_enc.eval()
-        self.high_enc.eval()
-        self.decoder.cff_global.eval()
-        self.decoder.edge_head.eval()
+        """Put the ``GLOBAL_BRANCH`` modules in eval mode (fixed norm statistics)."""
+        for path in self.GLOBAL_BRANCH:
+            functools.reduce(getattr, path.split("."), self).eval()
 
 
 def build_model(cfg: ModelConfig) -> EdgeDetector:

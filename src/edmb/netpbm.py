@@ -74,19 +74,23 @@ def read_netpbm(path):
     return arr.reshape(h, w)
 
 
-def write_pgm(path, array):
-    """Write a (H,W) array as binary PGM (P5, maxval 255).
+def quantize(a):
+    """uint8 pixels: float arrays are treated as [0,1] and rounded to the
+    nearest of 256 levels (dequantizing stays within 1/510); integer arrays
+    are clipped to [0,255]."""
+    a = np.asarray(a)
+    if np.issubdtype(a.dtype, np.floating):
+        return np.clip(np.rint(a * 255.0), 0, 255).astype(np.uint8)
+    return np.clip(a, 0, 255).astype(np.uint8)
 
-    Float arrays are treated as [0,1] and quantized; integer arrays are
-    written as-is after clipping to [0,255].
-    """
+
+def write_pgm(path, array):
+    """Write a (H,W) array, quantized by ``quantize``, as binary PGM (P5,
+    maxval 255)."""
     a = np.asarray(array)
     if a.ndim != 2:
         raise ImageFormatError(f"PGM needs a 2-D array, got shape {a.shape}")
-    if np.issubdtype(a.dtype, np.floating):
-        a = np.clip(np.rint(a * 255.0), 0, 255).astype(np.uint8)
-    else:
-        a = np.clip(a, 0, 255).astype(np.uint8)
+    a = quantize(a)
     h, w = a.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -94,14 +98,11 @@ def write_pgm(path, array):
 
 
 def write_ppm(path, array):
-    """Write a (H,W,3) uint8/float array as binary PPM (P6)."""
+    """Write a (H,W,3) array, quantized by ``quantize``, as binary PPM (P6)."""
     a = np.asarray(array)
     if a.ndim != 3 or a.shape[2] != 3:
         raise ImageFormatError(f"PPM needs (H,W,3), got shape {a.shape}")
-    if np.issubdtype(a.dtype, np.floating):
-        a = np.clip(np.rint(a * 255.0), 0, 255).astype(np.uint8)
-    else:
-        a = np.clip(a, 0, 255).astype(np.uint8)
+    a = quantize(a)
     h, w, _ = a.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))

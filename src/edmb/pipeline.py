@@ -260,6 +260,12 @@ def load_label_maps(label_root, sid):
     return maps
 
 
+def read_id_list(path):
+    """Sample ids, one per non-blank line of a UTF-8 file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip()]
+
+
 def load_dataset(root, list_file):
     """Load samples listed one id per line under root/images and root/labels.
 
@@ -267,10 +273,8 @@ def load_dataset(root, list_file):
     ``load_label_maps`` reads them.
     """
     root = str(root)
-    with open(list_file, "r", encoding="utf-8") as fh:
-        ids = [line.strip() for line in fh if line.strip()]
     samples = []
-    for sid in ids:
+    for sid in read_id_list(list_file):
         img_path = None
         for ext in (".ppm", ".png", ".pnm"):
             cand = os.path.join(root, "images", sid + ext)
@@ -381,9 +385,9 @@ class TrainConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-# flat key=value schema: every TrainConfig field has a documented key
+# flat key=value schema: every TrainConfig field but ``stage`` (set by
+# ``edmb train --stage``) has a documented key
 CONFIG_KEYS = {
-    "stage": ("stage", str),
     "batch_size": ("batch_size", int),
     "lr": ("lr", float),
     "weight_decay": ("weight_decay", float),
@@ -505,12 +509,18 @@ def load_checkpoint(path) -> Checkpoint:
             name_bytes = fh.read(nlen)
             if len(name_bytes) != nlen:
                 raise FormatError(f"{path}: truncated entry name")
-            name = name_bytes.decode("utf-8")
+            try:
+                name = name_bytes.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: entry name {name_bytes!r} is not UTF-8") from exc
             arr = read_tensor(fh)
             if name == "meta.step":
                 step = int(arr[0])
             elif name == "meta.fingerprint":
-                fingerprint = bytes(arr.astype(np.uint8)).decode("ascii")
+                try:
+                    fingerprint = bytes(arr.astype(np.uint8)).decode("ascii")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{path}: meta.fingerprint is not ASCII") from exc
             elif name == "meta.model":
                 from .model import model_config_from_array
 
@@ -522,7 +532,7 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(state, opt_state, step, fingerprint, model_config=model_cfg)
 
 
-# -- padding helper ------------------------------------------------------------------
+# -- padding and the stage forward -----------------------------------------------------
 
 
 def pad_to_multiple(batch, mult=32):
@@ -534,6 +544,30 @@ def pad_to_multiple(batch, mult=32):
         return batch, H, W
     padded = np.pad(batch, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
     return padded, H, W
+
+
+def stage_outputs(model, batch, stage, training=False, rng=None, include_aux=True):
+    """One stage's outputs for a (B,3,H,W) array, at input resolution.
+
+    The batch is reflect-padded to a multiple of 32 for the encoders, run
+    through ``forward_global`` (global stage: ``aux_p`` only) or
+    ``forward_full`` (fine stage), and every output map is cropped back to
+    H x W.
+    """
+    padded, H, W = pad_to_multiple(batch)
+    x = Tensor(padded)
+    if stage == "global":
+        out = EdgeDistribution(None, None, aux_p=model.forward_global(x))
+    else:
+        out = model.forward_full(x, training=training, rng=rng, include_aux=include_aux)
+
+    def crop(t):
+        if t is None or t.shape[2:] == (H, W):
+            return t
+        return dc.narrow(dc.narrow(t, 2, 0, H), 3, 0, W)
+
+    return EdgeDistribution(*(crop(t) for t in (out.mu, out.var, out.aux_p,
+                                                 out.aux_mu, out.aux_var)))
 
 
 # -- the training loop -----------------------------------------------------------------
@@ -555,9 +589,7 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
         if init_ckpt is None and resume_ckpt is None:
             raise ValueError("fine stage requires a global-stage checkpoint")
         if init_ckpt is not None:
-            if isinstance(init_ckpt, (str, os.PathLike)):
-                init_ckpt = load_checkpoint(init_ckpt)
-            model.load_state_arrays(init_ckpt.state)
+            model.load_state_arrays(_as_checkpoint(init_ckpt).state)
         model.set_frozen_eval()
         trainable = model.fine_param_names()
     else:
@@ -569,8 +601,7 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
 
     step = 0
     if resume_ckpt is not None:
-        if isinstance(resume_ckpt, (str, os.PathLike)):
-            resume_ckpt = load_checkpoint(resume_ckpt)
+        resume_ckpt = _as_checkpoint(resume_ckpt)
         if resume_ckpt.config_fingerprint != cfg.fingerprint():
             warnings.warn("resume checkpoint was written by a different config")
         model.load_state_arrays(resume_ckpt.state)
@@ -608,20 +639,7 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
         batch = np.stack(images).astype(dc.default_dtype())
         y_batch = np.stack(ys)
         m_batch = np.stack(masks)
-        padded, H, W = pad_to_multiple(batch)
-        x = Tensor(padded)
-
-        if cfg.stage == "global":
-            aux_p = model.forward_global(x)
-            aux_p = _crop(aux_p, H, W)
-            outputs = EdgeDistribution(None, None, aux_p=aux_p)
-        else:
-            outputs = model.forward_full(x, training=True, rng=window_rng)
-            outputs = EdgeDistribution(
-                _crop(outputs.mu, H, W), _crop(outputs.var, H, W),
-                aux_mu=_crop(outputs.aux_mu, H, W),
-                aux_var=_crop(outputs.aux_var, H, W),
-            )
+        outputs = stage_outputs(model, batch, cfg.stage, training=True, rng=window_rng)
         loss = stage_losses(outputs, y_batch, m_batch, cfg.loss, cfg.stage, rng=sample_rng)
         value = loss.item()
         if not np.isfinite(value):
@@ -640,31 +658,26 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
         step += 1
         log.info("stage=%s step=%d loss=%.6f", cfg.stage, step, value)
         if out_dir and cfg.save_every and step % cfg.save_every == 0:
-            _emit(model, opt, step, cfg, history, os.path.join(out_dir, f"step{step:06d}.ckpt"))
+            os.makedirs(out_dir, exist_ok=True)
+            save_checkpoint(_checkpoint(model, opt, step, cfg, history),
+                            os.path.join(out_dir, f"step{step:06d}.ckpt"))
         if eval_every and eval_fn and step % eval_every == 0:
             if eval_fn(model, step, history):
                 break
 
-    ckpt = Checkpoint(model.state_arrays(), opt.state_arrays(), step,
-                      cfg.fingerprint(), model_config=cfg.model,
-                      loss_history=history)
+    ckpt = _checkpoint(model, opt, step, cfg, history)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(ckpt, os.path.join(out_dir, f"{cfg.stage}.ckpt"))
     return ckpt
 
 
-def _crop(t, H, W):
-    if t.shape[2] == H and t.shape[3] == W:
-        return t
-    return dc.narrow(dc.narrow(t, 2, 0, H), 3, 0, W)
+def _as_checkpoint(ckpt):
+    """A Checkpoint, loading it first when given a path."""
+    return load_checkpoint(ckpt) if isinstance(ckpt, (str, os.PathLike)) else ckpt
 
 
-def _emit(model, opt, step, cfg, history, path):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    save_checkpoint(
-        Checkpoint(model.state_arrays(), opt.state_arrays(), step,
-                   cfg.fingerprint(), model_config=cfg.model,
-                   loss_history=list(history)),
-        path,
-    )
+def _checkpoint(model, opt, step, cfg, history):
+    return Checkpoint(model.state_arrays(), opt.state_arrays(), step,
+                      cfg.fingerprint(), model_config=cfg.model,
+                      loss_history=list(history))

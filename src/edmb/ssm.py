@@ -260,13 +260,12 @@ class PatchEmbed(nn.Module):
     when the input grid differs, so any divisible input size is accepted.
     """
 
-    def __init__(self, patch_size, embed_dim, base_grid, rng, in_ch=3):
+    def __init__(self, patch_size, embed_dim, base_grid, rng):
         super().__init__()
         self.patch_size = patch_size
         self.embed_dim = embed_dim
         self.base_grid = tuple(base_grid)
-        self.in_ch = in_ch
-        self.proj = nn.Linear(in_ch * patch_size * patch_size, embed_dim, rng)
+        self.proj = nn.Linear(3 * patch_size * patch_size, embed_dim, rng)
         h0, w0 = self.base_grid
         self.pos = dc.parameter(rng.standard_normal((h0 * w0, embed_dim)) * 0.02)
 

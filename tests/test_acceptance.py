@@ -165,7 +165,7 @@ def test_criterion_06_granularity_invariants():
     monotone = True
     counts_monotone = True
     exact_zero = True
-    from edmb.diffcore.tensor import _sigmoid_raw
+    from scipy.special import expit
 
     for _ in range(20):
         mu = rng.standard_normal((1, 1, 12, 12))
@@ -182,7 +182,7 @@ def test_criterion_06_granularity_invariants():
             prev = p
             prev_counts = np.array([(p >= t).sum() for t in (0.25, 0.5, 0.75)])
         p0 = sample_granularity(dist, 0.0)
-        exact_zero &= np.array_equal(p0, _sigmoid_raw(dist.mu.data[0, 0]))
+        exact_zero &= np.array_equal(p0, expit(dist.mu.data[0, 0]))
     ok = monotone and counts_monotone and exact_zero
     assert _line(6, ok, f"p_gamma pixelwise monotone: {monotone}, thresholded "
                         f"counts monotone: {counts_monotone}, gamma=0 bit-exact: {exact_zero}")

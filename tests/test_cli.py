@@ -135,6 +135,20 @@ class TestEvalCommand:
         assert rc == 1
         assert repr(sid) in capsys.readouterr().err
 
+    def test_prediction_size_mismatch_exits_1(self, workspace, tmp_path, capsys):
+        data = workspace["data"]
+        sid = (data / "list.txt").read_text().split()[0]
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        netpbm.write_pgm(pred / f"{sid}.pgm", np.zeros((32, 48), np.uint8))
+        ids = tmp_path / "list.txt"
+        ids.write_text(sid + "\n")
+        rc = main(["eval", "--pred", str(pred), "--gt", str(data / "labels"),
+                   "--list", str(ids)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "(32, 48)" in err and "(64, 64)" in err
+
     def test_missing_prediction_exits_1(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--pred", str(tmp_path), "--gt",
                    str(workspace["data"] / "labels"),

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -392,6 +393,13 @@ class TestTensorIO:
         dc.save_tensor_file(path, arr)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
+        with pytest.raises(dc.FormatError, match="truncated"):
+            dc.load_tensor_file(path)
+
+
+    def test_shape_larger_than_file_is_format_error(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(dc.TENSOR_MAGIC + struct.pack("<4I", 3, 65535, 65535, 4096) + b"\0" * 4)
         with pytest.raises(dc.FormatError, match="truncated"):
             dc.load_tensor_file(path)
 

@@ -23,22 +23,22 @@ class TestGlobalEncoder:
     def test_shape_contract_embed48(self, rng):
         enc = MambaEncoder(small_cfg(embed_dim=48), rng)
         pyr = enc(dc.zeros((1, 3, 64, 64)))
-        shapes = [m.shape for m in pyr.maps]
+        shapes = [m.shape for m in pyr]
         assert shapes == [(1, 48, 16, 16), (1, 96, 8, 8), (1, 192, 4, 4)]
-        assert pyr.strides == [4, 8, 16]
+        assert [64 // m.shape[2] for m in pyr] == [4, 8, 16]
 
     def test_zero_input_zero_embeddings_gives_zero_pyramid(self, rng):
         enc = MambaEncoder(small_cfg(), rng)
         enc.patch.pos.data[:] = 0.0
         enc.patch.proj.bias.data[:] = 0.0
         pyr = enc(dc.zeros((1, 3, 64, 64)))
-        for m in pyr.maps:
+        for m in pyr:
             np.testing.assert_array_equal(m.data, 0.0)
 
     def test_gradient_reaches_every_parameter(self, rng):
         enc = MambaEncoder(small_cfg(), rng)
         pyr = enc(dc.randn(rng, (1, 3, 32, 32)))
-        loss = dc.add(dc.add(dc.tsum(pyr.maps[0]), dc.tsum(pyr.maps[1])), dc.tsum(pyr.maps[2]))
+        loss = dc.add(dc.add(dc.tsum(pyr[0]), dc.tsum(pyr[1])), dc.tsum(pyr[2]))
         dc.backward(loss)
         missing = [n for n, p in enc.named_parameters() if p.grad is None]
         assert missing == []
@@ -52,7 +52,7 @@ class TestGlobalEncoder:
         enc = MambaEncoder(small_cfg(), rng)
         for size in (32, 64, 96, 128, 256):
             pyr = enc(dc.zeros((1, 3, size, size)))
-            for stride, m in pyr:
+            for stride, m in zip([4, 8, 16], pyr):
                 assert m.shape[2] * stride == size
                 assert m.shape[3] * stride == size
 
@@ -88,14 +88,14 @@ class TestFineEncoder:
         glob = MambaEncoder(cfg, rng)
         x = dc.zeros((1, 3, 64, 64))
         pf, pg = fine(x), glob(x)
-        assert [m.shape for m in pf.maps] == [m.shape for m in pg.maps]
+        assert [m.shape for m in pf] == [m.shape for m in pg]
 
     def test_inference_is_rng_independent(self, rng):
         fine = FineEncoder(small_cfg(), rng)
         x = dc.randn(rng, (1, 3, 64, 64))
         a = fine(x, training=False)
         b = fine(x, training=False)
-        for ma, mb in zip(a.maps, b.maps):
+        for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma.data, mb.data)
 
     def test_all_keep_equals_no_drop_bitwise(self, rng):
@@ -103,7 +103,7 @@ class TestFineEncoder:
         x = dc.randn(rng, (1, 3, 64, 64))
         train = fine(x, training=True, rng=np.random.default_rng(0))
         infer = fine(x, training=False)
-        for ma, mb in zip(train.maps, infer.maps):
+        for ma, mb in zip(train, infer):
             np.testing.assert_array_equal(ma.data, mb.data)
 
     def test_drop_changes_gradients_not_activations(self, rng):
@@ -111,7 +111,7 @@ class TestFineEncoder:
         x = dc.randn(rng, (1, 3, 64, 64))
         dropped = fine(x, training=True, rng=np.random.default_rng(3))
         full = fine(x, training=False)
-        for ma, mb in zip(dropped.maps, full.maps):
+        for ma, mb in zip(dropped, full):
             np.testing.assert_array_equal(ma.data, mb.data)
 
     def test_gradient_masking_single_window(self, rng):
@@ -129,7 +129,7 @@ class TestFineEncoder:
         def grads_for(arr):
             fine.zero_grad()
             pyr = fine(Tensor(arr), training=True, rng=FixedRng())
-            loss = sum((dc.tsum(m) for m in pyr.maps), dc.zeros(()))
+            loss = sum((dc.tsum(m) for m in pyr), dc.zeros(()))
             dc.backward(loss)
             return {n: (p.grad.copy() if p.grad is not None else None)
                     for n, p in fine.named_parameters()}
@@ -161,10 +161,10 @@ class TestFineEncoder:
         model = EdgeDetector(ModelConfig(embed_dim=8, depths=(1, 1, 1), state_dim=2,
                                          decoder_ch=8, head_blocks=1, seed=5))
         x = dc.randn(rng, (1, 3, 64, 64))
-        before = [m.data.copy() for m in model.fine_enc(x, training=False).maps]
+        before = [m.data.copy() for m in model.fine_enc(x, training=False)]
         for _, p in model.global_enc.named_parameters():
             p.data = p.data + 1.0
-        after = model.fine_enc(x, training=False).maps
+        after = model.fine_enc(x, training=False)
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b.data)
 
@@ -173,17 +173,16 @@ class TestHighResEncoder:
     def test_shape_contract(self, rng):
         enc = HighResEncoder(rng)
         pyr = enc(dc.zeros((1, 3, 64, 64)))
-        assert pyr.maps[0].shape == (1, 16, 64, 64)
-        assert pyr.maps[1].shape == (1, 32, 32, 32)
-        assert pyr.strides == [1, 2]
+        assert pyr[0].shape == (1, 16, 64, 64)
+        assert pyr[1].shape == (1, 32, 32, 32)
 
     def test_constant_input_constant_interior(self, rng):
         enc = HighResEncoder(rng)
         pyr = enc(Tensor(np.full((1, 3, 16, 16), 0.7, dtype=np.float32)))
-        f1 = pyr.maps[0].data[0, :, 1:-1, 1:-1]
+        f1 = pyr[0].data[0, :, 1:-1, 1:-1]
         assert np.abs(f1 - f1[:, :1, :1]).max() < 1e-6
         # conv1 border (1 px) survives pooling into the next conv's support
-        f2 = pyr.maps[1].data[0, :, 2:-2, 2:-2]
+        f2 = pyr[1].data[0, :, 2:-2, 2:-2]
         assert np.abs(f2 - f2[:, :1, :1]).max() < 1e-5
 
     def test_parameter_budget_below_one_percent(self):

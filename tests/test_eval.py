@@ -203,6 +203,14 @@ class TestFCurve:
         with pytest.raises(ValueError, match="predictions"):
             f_curve([np.zeros((4, 4))], [])
 
+    def test_size_mismatch_rejected_naming_both_shapes(self):
+        pred = np.zeros((64, 64))
+        pred[10, 5:20] = 0.9
+        gt = np.zeros((32, 48), bool)
+        gt[10, 5:20] = True
+        with pytest.raises(ValueError, match=r"\(64, 64\).*\(32, 48\)"):
+            f_curve([pred], [gt])
+
 
 class TestMultiGranularity:
     def _case(self, rng):

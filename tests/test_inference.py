@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from edmb import diffcore as dc
 from edmb import netpbm
@@ -12,7 +13,6 @@ from edmb.inference import (
     granularity_sweep,
     parse_gamma_range,
     predict_distribution,
-    quantize_map,
     sample_granularity,
 )
 from edmb.model import EdgeDetector, ModelConfig
@@ -63,11 +63,9 @@ class TestPredictDistribution:
 
 class TestSampleGranularity:
     def test_gamma_zero_is_sigmoid_mu(self, rng):
-        from edmb.diffcore.tensor import _sigmoid_raw
-
         dist = random_dist(rng)
         p = sample_granularity(dist, 0.0)
-        np.testing.assert_array_equal(p, _sigmoid_raw(dist.mu.data[0, 0]))
+        np.testing.assert_array_equal(p, expit(dist.mu.data[0, 0]))
         # and the shift genuinely vanishes: gamma=0 ignores the variance
         dist2 = EdgeDistribution(dist.mu, Tensor(dist.var.data * 13.0))
         np.testing.assert_array_equal(sample_granularity(dist2, 0.0), p)
@@ -113,7 +111,7 @@ class TestSweep:
         dist = random_dist(rng)
         (path,) = granularity_sweep(dist, [0.0], tmp_path, "one")
         back = netpbm.read_netpbm(path)
-        want = quantize_map(sample_granularity(dist, 0.0))
+        want = netpbm.quantize(sample_granularity(dist, 0.0))
         np.testing.assert_array_equal(back, want)
 
     def test_mean_intensity_nondecreasing(self, tmp_path, rng):
@@ -124,7 +122,7 @@ class TestSweep:
 
     def test_quantization_roundtrip_bound(self, rng):
         p = rng.random((32, 32))
-        q = quantize_map(p).astype(np.float64) / 255.0
+        q = netpbm.quantize(p).astype(np.float64) / 255.0
         assert np.abs(q - p).max() <= 1.0 / 510.0 + 1e-12
 
 

@@ -242,6 +242,25 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
+    def test_non_utf8_entry_name_is_format_error(self, tmp_path):
+        ck = Checkpoint({"param.a": np.zeros(2, dtype=np.float32)}, {}, 1, "f" * 16)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(ck, path)
+        path.write_bytes(path.read_bytes().replace(b"param.a", b"param.\xff"))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_checkpoint(path)
+
+    def test_non_ascii_fingerprint_is_format_error(self, tmp_path):
+        ck = Checkpoint({"param.a": np.zeros(2, dtype=np.float32)}, {}, 1, "f" * 16)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(ck, path)
+        ascii_f = np.full(16, ord("f"), dtype="<f4").tobytes()
+        data = path.read_bytes()
+        assert data.count(ascii_f) == 1
+        path.write_bytes(data.replace(ascii_f, np.full(16, 200, dtype="<f4").tobytes()))
+        with pytest.raises(FormatError, match="fingerprint"):
+            load_checkpoint(path)
+
     def test_model_state_roundtrip_through_file(self, tmp_path, corpus):
         cfg = tiny_train_cfg(steps=2)
         model = EdgeDetector(cfg.model)
@@ -260,7 +279,6 @@ class TestConfigFile:
     def test_full_parse(self, tmp_path):
         text = """
 # comment
-stage=fine
 batch_size=2
 lr=0.0002
 weight_decay=0.001
@@ -289,14 +307,15 @@ model.seed=3
         path = tmp_path / "c.cfg"
         path.write_text(text)
         cfg = parse_config(path)
-        assert cfg.stage == "fine" and cfg.batch_size == 2
+        assert cfg.batch_size == 2
         assert cfg.loss.lam == 1.3 and cfg.loss.literal_weights
         assert cfg.model.depths == (1, 2, 1) and cfg.model.window_keep == 2
         assert cfg.augment_recipe == "bsds" and cfg.mixed_threshold == 0.4
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
-        for line in ("learning_rate=3", "lr_pretrained=0.00005", "loss.alpha1=0.0"):
+        for line in ("learning_rate=3", "lr_pretrained=0.00005", "loss.alpha1=0.0",
+                     "stage=fine"):
             path.write_text(line + "\n")
             with pytest.raises(ValueError, match="unknown config key"):
                 parse_config(path)
