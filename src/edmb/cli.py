@@ -145,28 +145,32 @@ def cmd_eval(args):
     ids = read_id_list(args.list_file)
     gts = [load_label_maps(args.gt, sid) for sid in ids]
 
-    def prep(path):
+    def prep(sid, gt, path):
         m = netpbm.read_netpbm(path).astype(np.float64) / 255.0
+        for g in gt:
+            if g.shape != m.shape:
+                raise ValueError(f"sample {sid!r}: prediction shape {m.shape} "
+                                 f"differs from label shape {g.shape}")
         return nms_thin(m) if args.nms else m
 
     if args.multigranularity:
         sets = []
-        for sid in ids:
+        for sid, gt in zip(ids, gts):
             files = sorted(
                 f for f in os.listdir(args.pred)
                 if f.startswith(sid + "_g") and f.endswith(".pgm")
             )
             if not files:
                 raise FileNotFoundError(f"no sweep maps for {sid!r} under {args.pred}")
-            sets.append([prep(os.path.join(args.pred, f)) for f in files])
+            sets.append([prep(sid, gt, os.path.join(args.pred, f)) for f in files])
         report = eval_multigranularity(sets, gts, args.thresholds, args.max_dist)
     else:
         preds = []
-        for sid in ids:
+        for sid, gt in zip(ids, gts):
             path = os.path.join(args.pred, sid + ".pgm")
             if not os.path.exists(path):
                 raise FileNotFoundError(f"no prediction for {sid!r} under {args.pred}")
-            preds.append(prep(path))
+            preds.append(prep(sid, gt, path))
         report = f_curve(preds, gts, args.thresholds, args.max_dist)
     sys.stdout.write(report.summary_kv())
     return 0

@@ -188,7 +188,8 @@ class Norm2d(Module):
 
     Training batches of size 1 fall back to per-channel group normalization
     (statistics over H,W of the single item); evaluation always uses the
-    running statistics, so inference is batch-size independent.
+    running statistics, so inference is batch-size independent, in one op
+    computed in place with the bits of ``((x - mu) * inv) * gamma + beta``.
     """
 
     eps = 1e-5
@@ -204,28 +205,44 @@ class Norm2d(Module):
     def __call__(self, x):
         B = x.shape[0]
         c_shape = (1, x.shape[1], 1, 1)
-        if self.training:
-            axes = (0, 2, 3) if B > 1 else (2, 3)
-            mu = T.tmean(x, axis=axes, keepdims=True)
-            xc = T.sub(x, mu)
-            var = T.tmean(T.mul(xc, xc), axis=axes, keepdims=True)
-            if B > 1:
-                m = self.momentum
-                self.set_buffer(
-                    "running_mean",
-                    (1 - m) * self.buffer("running_mean") + m * mu.data.reshape(-1),
-                )
-                self.set_buffer(
-                    "running_var",
-                    (1 - m) * self.buffer("running_var") + m * var.data.reshape(-1),
-                )
-        else:
-            mu = Tensor(self.buffer("running_mean").reshape(c_shape))
-            xc = T.sub(x, mu)
-            var = Tensor(self.buffer("running_var").reshape(c_shape))
+        if not self.training:
+            return self._eval(T.as_tensor(x), c_shape)
+        axes = (0, 2, 3) if B > 1 else (2, 3)
+        mu = T.tmean(x, axis=axes, keepdims=True)
+        xc = T.sub(x, mu)
+        var = T.tmean(T.mul(xc, xc), axis=axes, keepdims=True)
+        if B > 1:
+            m = self.momentum
+            self.set_buffer(
+                "running_mean",
+                (1 - m) * self.buffer("running_mean") + m * mu.data.reshape(-1),
+            )
+            self.set_buffer(
+                "running_var",
+                (1 - m) * self.buffer("running_var") + m * var.data.reshape(-1),
+            )
         inv = T.pow_const(T.add(var, self.eps), -0.5)
         out = T.mul(T.mul(xc, inv), T.reshape(self.gamma, c_shape))
         return T.add(out, T.reshape(self.beta, c_shape))
+
+    def _eval(self, x, c_shape):
+        mu = Tensor(self.buffer("running_mean").reshape(c_shape)).data
+        var = Tensor(self.buffer("running_var").reshape(c_shape)).data
+        inv = (var + np.asarray(self.eps, dtype=T.default_dtype())) ** -0.5
+        gamma, beta = self.gamma.data.reshape(c_shape), self.beta.data.reshape(c_shape)
+        out = x.data - mu
+        out *= inv
+        xhat = out.copy() if T.grad_enabled() and self.gamma.requires_grad else None
+        out *= gamma
+        out += beta
+
+        def vjp(g):
+            gx = (g * gamma) * inv if x.requires_grad else None
+            gg = None if xhat is None else T._unbroadcast(g * xhat, c_shape).reshape(-1)
+            gb = T._unbroadcast(g, c_shape).reshape(-1) if self.beta.requires_grad else None
+            return gx, gg, gb
+
+        return T.make_op(out, (x, self.gamma, self.beta), vjp, "norm2d")
 
 
 class ConvNormRelu(Module):

@@ -332,8 +332,11 @@ def log(a):
 
 def relu(a):
     a = as_tensor(a)
-    mask = a.data > 0
-    return make_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,), "relu")
+    # fmax maps NaN and -inf to 0, and += 0 turns -0.0 into +0.0: the bits of
+    # where(x > 0, x, 0) without a mask pass in the forward
+    out = np.fmax(a.data, 0)
+    out += 0
+    return make_op(out, (a,), lambda g: (g * (a.data > 0),), "relu")
 
 
 def sigmoid(a):
@@ -527,12 +530,23 @@ def _im2col(x, kh, kw, stride, pad):
     return cols.reshape(B, Ho * Wo, C * kh * kw), Ho, Wo
 
 
-def _conv2d_dense_raw(x, w, stride, pad):
+def _conv2d_dense_raw(x, w, stride, pad, bias=None):
     Co, C, kh, kw = w.shape
     cols, Ho, Wo = _im2col(x, kh, kw, stride, pad)
-    out = cols @ w.reshape(Co, -1).T  # (B, L, Co)
-    B = x.shape[0]
-    return out.transpose(0, 2, 1).reshape(B, Co, Ho, Wo), cols
+    res = cols @ w.reshape(Co, -1).T  # (B, L, Co)
+    B, L = res.shape[:2]
+    # one channel-first pass that also adds the bias, in blocks of ~64K
+    # elements so the transposed reads stay in cache
+    out = np.empty((B, Co, L), dtype=res.dtype)
+    step = max(1, (1 << 16) // Co)
+    for b in range(B):
+        for l0 in range(0, L, step):
+            src, dst = res[b, l0 : l0 + step].T, out[b, :, l0 : l0 + step]
+            if bias is None:
+                dst[...] = src
+            else:
+                np.add(src, bias[:, None], out=dst)
+    return out.reshape(B, Co, Ho, Wo), cols
 
 
 def _dilate(g, stride):
@@ -571,9 +585,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
         _count_macs(B * Ho * Wo * Co * C * kh * kw)
         if kh == kw == 1 and stride == 1 and padding == 0:
             return _conv2d_1x1(x, weight, bias)
-        out, cols = _conv2d_dense_raw(x.data, weight.data, stride, padding)
-        if bias is not None:
-            out = out + bias.data.reshape(1, Co, 1, 1)
+        bias_data = None if bias is None else bias.data
+        out, cols = _conv2d_dense_raw(x.data, weight.data, stride, padding, bias_data)
 
         def vjp(g):
             gx = gw = None
@@ -620,31 +633,49 @@ def _conv2d_1x1(x, weight, bias):
     return make_op(out, parents, vjp, "conv2d")
 
 
+def _depthwise_taps(wk, src, dst, Ho, Wo, scatter):
+    """dst += wk[:, u, v] * src over the kernel taps of (B*C) planes, with src
+    shifted by the tap (forward) or, with ``scatter``, dst (input gradient).
+    Blocks of ~64K output elements reuse one product buffer in cache, in the
+    tap order of one full-size product per tap, so every sum keeps its bits."""
+    kh, kw = wk.shape[1:]
+    cb = max(1, (1 << 16) // (Ho * Wo))
+    buf = np.empty((min(len(wk), cb), Ho, Wo), dtype=np.result_type(wk, src))
+    for c0 in range(0, len(wk), cb):
+        w, s, d = wk[c0 : c0 + cb], src[c0 : c0 + cb], dst[c0 : c0 + cb]
+        tb = buf[: len(w)]
+        for u in range(kh):
+            for v in range(kw):
+                win = (slice(None), slice(u, u + Ho), slice(v, v + Wo))
+                np.multiply(w[:, u, v, None, None], s if scatter else s[win], out=tb)
+                acc = d[win] if scatter else d
+                acc += tb
+
+
 def _depthwise_conv2d(x, weight, bias, stride, pad, H, W, Ho, Wo):
-    # shift-and-accumulate over the kernel taps; contiguous slices beat
-    # einsum over 6-D strided views by a wide margin at these sizes
     B, C, _, _ = x.shape
     _, _, kh, kw = weight.shape
     if stride != 1:
         raise ValueError("depthwise conv2d supports stride 1 only")
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    wk = weight.data[:, 0]  # (C,kh,kw)
+    planes = (B * C,) + xp.shape[2:]
+    wk = np.tile(weight.data[:, 0], (B, 1, 1))  # (B*C,kh,kw), plane b*C+c
     out = np.zeros((B, C, Ho, Wo), dtype=x.data.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            out += wk[:, u, v].reshape(1, C, 1, 1) * xp[:, :, u : u + Ho, v : v + Wo]
+    _depthwise_taps(wk, xp.reshape(planes), out.reshape(B * C, Ho, Wo), Ho, Wo, False)
     if bias is not None:
         out += bias.data.reshape(1, C, 1, 1)
     _count_macs(B * Ho * Wo * C * kh * kw)
 
     def vjp(g):
+        # gw keeps the full-size (0,2,3) reduction, whose order sets its bits
         gw = np.empty((C, 1, kh, kw), dtype=g.dtype)
-        gxp = np.zeros_like(xp)
+        prod = np.empty(g.shape, dtype=np.result_type(xp, g))
         for u in range(kh):
             for v in range(kw):
-                patch = xp[:, :, u : u + Ho, v : v + Wo]
-                gw[:, 0, u, v] = (patch * g).sum(axis=(0, 2, 3))
-                gxp[:, :, u : u + Ho, v : v + Wo] += wk[:, u, v].reshape(1, C, 1, 1) * g
+                np.multiply(xp[:, :, u : u + Ho, v : v + Wo], g, out=prod)
+                gw[:, 0, u, v] = prod.sum(axis=(0, 2, 3))
+        gxp = np.zeros_like(xp)
+        _depthwise_taps(wk, g.reshape(B * C, Ho, Wo), gxp.reshape(planes), Ho, Wo, True)
         gx = gxp[:, :, pad : pad + H, pad : pad + W] if pad else gxp
         gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)

@@ -515,7 +515,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise FormatError(f"{path}: entry name {name_bytes!r} is not UTF-8") from exc
             arr = read_tensor(fh)
             if name == "meta.step":
-                step = int(arr[0])
+                if arr.size != 1 or not np.isfinite(arr).all():
+                    raise FormatError(f"{path}: meta.step must be one finite value, got {arr!r}")
+                step = int(arr.reshape(-1)[0])
             elif name == "meta.fingerprint":
                 try:
                     fingerprint = bytes(arr.astype(np.uint8)).decode("ascii")

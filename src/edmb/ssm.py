@@ -121,11 +121,15 @@ def selective_scan_core(u, delta, a_diag, b_tok, c_tok):
     phi = _phi(z)
     bbar = delta.data[..., None] * phi * b_tok.data  # (B,M,N)
 
+    # every state starts as Bbar_t x_t and gains Abar_t h_{t-1} in place;
+    # the += 0.0 at t = 0 keeps the +0.0 that Abar_0 * 0 + ... gave
     hs = np.empty((B, M, N, D), dtype=u.data.dtype)
-    h = np.zeros((B, N, D), dtype=u.data.dtype)
-    for t in range(M):
-        h = abar[:, t, :, None] * h + bbar[:, t, :, None] * u.data[:, t, None, :]
-        hs[:, t] = h
+    np.multiply(bbar[..., None], u.data[:, :, None, :], out=hs)
+    hs[:, 0] += 0.0
+    tmp = np.empty((B, N, D), dtype=hs.dtype)
+    for t in range(1, M):
+        np.multiply(abar[:, t, :, None], hs[:, t - 1], out=tmp)
+        hs[:, t] += tmp
     y = np.einsum("bmn,bmnd->bmd", c_tok.data, hs)
     _count_macs(3 * B * M * N * D)
 

@@ -147,7 +147,7 @@ class TestEvalCommand:
                    "--list", str(ids)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "(32, 48)" in err and "(64, 64)" in err
+        assert "(32, 48)" in err and "(64, 64)" in err and repr(sid) in err
 
     def test_missing_prediction_exits_1(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--pred", str(tmp_path), "--gt",

@@ -30,6 +30,28 @@ def conv2d_loop(x, w, b, stride, pad):
     return out
 
 
+def bits(a):
+    """Bit pattern of a float array: -0.0 and +0.0 compare unequal."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def depthwise_tap_loop(x, w, pad, g):
+    """Depthwise forward and input gradient (for output gradient ``g``) as one
+    full-size product per kernel tap, the sums the blocked kernel keeps."""
+    B, C, H, W = x.shape
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    Ho, Wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.zeros((B, C, Ho, Wo), dtype=x.dtype)
+    gxp = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            out += w[:, 0, u, v].reshape(1, C, 1, 1) * xp[:, :, u : u + Ho, v : v + Wo]
+            gxp[:, :, u : u + Ho, v : v + Wo] += w[:, 0, u, v].reshape(1, C, 1, 1) * g
+    return out, gxp[:, :, pad : pad + H, pad : pad + W]
+
+
 def bilinear_loop(x, out_h, out_w):
     """Independent scalar bilinear resize oracle (align_corners=False)."""
     H, W = x.shape
@@ -141,6 +163,70 @@ class TestConv2d:
         np.testing.assert_allclose(gx, gx_d, atol=1e-12)
         np.testing.assert_allclose(gw[:, 0], np.stack([gw_d[c, c] for c in range(C)]), atol=1e-12)
         np.testing.assert_allclose(gb, gb_d, atol=1e-12)
+
+
+class TestExactKernels:
+    """Blocked and in-place kernels give the bits of their plain forms."""
+
+    @pytest.mark.parametrize("shape", [(1, 128, 80, 80), (3, 64, 64, 64), (4, 16, 16, 16)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_depthwise_matches_tap_loop_bitwise(self, rng, shape, dtype):
+        C = shape[1]
+        with dc.precision(dtype):
+            x = dc.randn(rng, shape, requires_grad=True)
+            x.data[0, 0, 0, :3] = -0.0
+            w = dc.randn(rng, (C, 1, 3, 3), requires_grad=True)
+            g = dc.randn(rng, shape)
+            out = dc.conv2d(x, w, None, 1, 1, C)
+            dc.backward(dc.tsum(dc.mul(out, g)))
+        ref_out, ref_gx = depthwise_tap_loop(x.data, w.data, 1, g.data)
+        assert np.array_equal(bits(out.data), bits(ref_out))
+        assert np.array_equal(bits(x.grad), bits(ref_gx))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_relu_special_values_bitwise(self, dtype):
+        with dc.precision(dtype):
+            x = Tensor(np.array([-0.0, np.nan, np.inf, -np.inf, 1.0, -1.0]), requires_grad=True)
+            out = dc.relu(x)
+            dc.backward(dc.tsum(out))
+        want = np.where(x.data > 0, x.data, 0.0)
+        assert out.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(bits(out.data), bits(want))
+        assert bits(out.data)[0] == 0  # +0.0, not -0.0
+        np.testing.assert_array_equal(x.grad, [0, 0, 1, 0, 1, 0])
+
+    @staticmethod
+    def _eval_norm(rng, C):
+        bn = nn.Norm2d(C)
+        bn.set_buffer("running_mean", rng.standard_normal(C))
+        bn.set_buffer("running_var", rng.random(C) + 0.1)
+        bn.gamma.data = dc.randn(rng, (C,)).data
+        bn.beta.data = dc.randn(rng, (C,)).data
+        return bn.eval()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_eval_norm_matches_composite_bitwise(self, rng, dtype):
+        with dc.precision(dtype):
+            bn = self._eval_norm(rng, 4)
+            x = dc.randn(rng, (2, 4, 5, 6))
+            out = bn(x)
+            c = (1, 4, 1, 1)
+            mu = Tensor(bn.buffer("running_mean").reshape(c))
+            inv = dc.pow_const(dc.add(Tensor(bn.buffer("running_var").reshape(c)), bn.eps), -0.5)
+            ref = dc.add(dc.mul(dc.mul(dc.sub(x, mu), inv), dc.reshape(bn.gamma, c)),
+                         dc.reshape(bn.beta, c))
+        assert out.op == "norm2d"
+        assert np.array_equal(bits(out.data), bits(ref.data))
+
+    def test_eval_norm_gradients_finite_difference(self, rng, f64):
+        bn = self._eval_norm(rng, 3)
+        x = dc.randn(rng, (2, 3, 4, 4), requires_grad=True)
+        r = dc.randn(rng, (2, 3, 4, 4))
+
+        def f():
+            return dc.tsum(dc.mul(bn(x), r))
+
+        assert dc.finite_diff_check(f, [x, bn.gamma, bn.beta]) < 1e-6
 
 
 class TestPointwise:

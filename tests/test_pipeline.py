@@ -261,6 +261,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="fingerprint"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("step", [np.zeros(0), np.array([3.0, 4.0]), np.array([np.nan])])
+    def test_bad_step_entry_is_format_error(self, tmp_path, step):
+        # a state entry named meta.step is written before the real one, and
+        # the loader reads it first
+        ck = Checkpoint({"meta.step": step.astype(np.float32)}, {}, 1, "f" * 16)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(ck, path)
+        with pytest.raises(FormatError, match="meta.step"):
+            load_checkpoint(path)
+
     def test_model_state_roundtrip_through_file(self, tmp_path, corpus):
         cfg = tiny_train_cfg(steps=2)
         model = EdgeDetector(cfg.model)

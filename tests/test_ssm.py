@@ -20,6 +20,20 @@ def lti_params(dim, state, rng, delta_bias=0.3):
     return p
 
 
+def scan_step_reference(u, delta, a, b_tok, c_tok):
+    """y of the per-step recurrence h_t = Abar_t * h_{t-1} + Bbar_t x_t."""
+    z = delta[..., None] * a
+    abar = np.exp(z)
+    bbar = delta[..., None] * ssm._phi(z) * b_tok
+    B, M, D = u.shape
+    hs = np.empty((B, M, a.shape[0], D), dtype=u.dtype)
+    h = np.zeros((B, a.shape[0], D), dtype=u.dtype)
+    for t in range(M):
+        h = abar[:, t, :, None] * h + bbar[:, t, :, None] * u[:, t, None, :]
+        hs[:, t] = h
+    return np.einsum("bmn,bmnd->bmd", c_tok, hs)
+
+
 class TestDiscretizeZoh:
     def test_scalar_closed_form(self):
         # independent closed form: Abar = e^-1, Bbar = (1 - e^-1) * B
@@ -116,6 +130,21 @@ class TestSelectiveScan:
         h_bound = np.abs(b_bar) / (1.0 - np.abs(a_bar)) * np.abs(x.data).max()
         y_bound = float(np.abs(c.data[0, 0]) @ h_bound)
         assert np.abs(y).max() <= y_bound + 1e-9
+
+    @pytest.mark.parametrize("shape", [(1, 300, 40, 8), (4, 64, 16, 4)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_step_reference_bitwise(self, rng, shape, dtype):
+        B, M, D, N = shape
+        with dc.precision(dtype):
+            u = dc.randn(rng, (B, M, D))
+            u.data[:, 0, :2] = -0.0  # a -0.0 Bbar x at t = 0
+            delta = Tensor(rng.random((B, M)) + 0.05)
+            a = Tensor(-rng.random(N) - 0.1)
+            b_tok, c_tok = dc.randn(rng, (B, M, N)), dc.randn(rng, (B, M, N))
+            y = ssm.selective_scan_core(u, delta, a, b_tok, c_tok).data
+        ref = scan_step_reference(u.data, delta.data, a.data, b_tok.data, c_tok.data)
+        uint = np.uint32 if y.dtype == np.float32 else np.uint64
+        assert np.array_equal(y.view(uint), ref.view(uint))
 
     def test_positive_delta_required(self, rng):
         x = dc.randn(rng, (1, 3, 2))
