@@ -506,47 +506,52 @@ def _conv_out_size(H, k, stride, pad):
     return num // stride + 1
 
 
-def _im2col(x, kh, kw, stride, pad):
-    """(B, Ho*Wo, C*kh*kw) patch rows, columns ordered (C, kh, kw)."""
+def _pad_hw(x, pad):
     ph, pw = (pad, pad) if isinstance(pad, int) else pad
-    B, C, H, W = x.shape
-    Ho = (H + 2 * ph - kh) // stride + 1
-    Wo = (W + 2 * pw - kw) // stride + 1
-    # channels-last copy, then one strided slice per kernel tap, filled in
-    # blocks of output rows (~512 KB) that stay in cache across the taps;
-    # much faster than one copy out of the 6-D sliding-window view
-    xt = np.zeros((B, H + 2 * ph, W + 2 * pw, C), dtype=x.dtype)
-    xt[:, ph : ph + H, pw : pw + W] = x.transpose(0, 2, 3, 1)
-    cols = np.empty((B, Ho, Wo, C, kh, kw), dtype=x.dtype)
-    rows = max(1, (1 << 17) // (Wo * C * kh * kw))
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+
+
+def _im2col(x, kh, kw, stride, pad, out=None):
+    """(B, C*kh*kw, Ho*Wo) patch columns, rows ordered (C, kh, kw), written
+    into the flat buffer ``out`` if given. Each kernel tap is one strided plane
+    copy out of the padded NCHW input."""
+    xp = _pad_hw(x, pad)
+    B, C, Hp, Wp = xp.shape
+    Ho, Wo = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
+    n = B * C * kh * kw * Ho * Wo
+    cols = (np.empty(n, dtype=x.dtype) if out is None else out[:n]).reshape(B, C, kh, kw, Ho, Wo)
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, :, u, v] = xp[:, :, u : u + stride * Ho : stride, v : v + stride * Wo : stride]
+    return cols.reshape(B, C * kh * kw, Ho * Wo), Ho, Wo
+
+
+def _conv2d_dense_raw(x, w, stride, pad, bias=None, keep=False):
+    """Dense conv as ``w.reshape(Co, K) @ cols`` per batch item; with ``keep``
+    also returns the (B, K, Ho*Wo) columns for the weight gradient. Without it,
+    the columns of blocks of output rows (~1M elements, 4 MB in float32) are
+    filled into one reused buffer and multiplied straight into the output.
+
+    The bits match the row-major ``cols @ w.T`` form, except that OpenBLAS
+    takes a small-matrix kernel for a GEMM with M*N*K below about 1e6, where
+    the two operand orientations differ by ulps. No model shape falls there."""
+    Co, C, kh, kw = w.shape
+    xp = _pad_hw(x, pad)
+    B, _, Hp, Wp = xp.shape
+    K, Ho, Wo = C * kh * kw, (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
+    rows = Ho if keep else max(1, min(Ho, (1 << 20) // (K * Wo)))
+    cols = np.empty((B if keep else 1, K * rows * Wo), dtype=x.dtype)
+    out = np.empty((B, Co, Ho * Wo), dtype=np.result_type(x, w))
+    wm = w.reshape(Co, K)
     for b in range(B):
         for i0 in range(0, Ho, rows):
             i1 = min(Ho, i0 + rows)
-            block = cols[b, i0:i1]
-            for u in range(kh):
-                r0, r1 = u + stride * i0, u + stride * i1
-                for v in range(kw):
-                    block[..., u, v] = xt[b, r0:r1:stride, v : v + stride * Wo : stride]
-    return cols.reshape(B, Ho * Wo, C * kh * kw), Ho, Wo
-
-
-def _conv2d_dense_raw(x, w, stride, pad, bias=None):
-    Co, C, kh, kw = w.shape
-    cols, Ho, Wo = _im2col(x, kh, kw, stride, pad)
-    res = cols @ w.reshape(Co, -1).T  # (B, L, Co)
-    B, L = res.shape[:2]
-    # one channel-first pass that also adds the bias, in blocks of ~64K
-    # elements so the transposed reads stay in cache
-    out = np.empty((B, Co, L), dtype=res.dtype)
-    step = max(1, (1 << 16) // Co)
-    for b in range(B):
-        for l0 in range(0, L, step):
-            src, dst = res[b, l0 : l0 + step].T, out[b, :, l0 : l0 + step]
-            if bias is None:
-                dst[...] = src
-            else:
-                np.add(src, bias[:, None], out=dst)
-    return out.reshape(B, Co, Ho, Wo), cols
+            slab = xp[b : b + 1, :, stride * i0 : stride * (i1 - 1) + kh]
+            blk, _, _ = _im2col(slab, kh, kw, stride, 0, cols[b if keep else 0])
+            np.matmul(wm, blk[0], out=out[b, :, i0 * Wo : i1 * Wo])
+    if bias is not None:
+        out += bias[:, None]
+    return out.reshape(B, Co, Ho, Wo), cols.reshape(B, K, Ho * Wo) if keep else None
 
 
 def _dilate(g, stride):
@@ -586,7 +591,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
         if kh == kw == 1 and stride == 1 and padding == 0:
             return _conv2d_1x1(x, weight, bias)
         bias_data = None if bias is None else bias.data
-        out, cols = _conv2d_dense_raw(x.data, weight.data, stride, padding, bias_data)
+        keep = grad_enabled() and weight.requires_grad
+        out, cols = _conv2d_dense_raw(x.data, weight.data, stride, padding, bias_data, keep)
 
         def vjp(g):
             gx = gw = None
@@ -600,7 +606,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
                 gx = gx[:, :, :H, :W]
             if weight.requires_grad:
                 g2 = g.reshape(B, Co, Ho * Wo)
-                gw = np.matmul(g2, cols).sum(axis=0).reshape(weight.shape)
+                gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
             gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
             return (gx, gw, gb) if bias is not None else (gx, gw)
 

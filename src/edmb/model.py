@@ -104,7 +104,10 @@ def model_config_to_array(cfg: ModelConfig):
 
 
 def model_config_from_array(arr) -> ModelConfig:
-    vals = [int(round(float(v))) for v in np.asarray(arr).reshape(-1)]
+    arr = np.asarray(arr).reshape(-1)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"model-config encoding has non-finite values {arr}")
+    vals = [int(round(float(v))) for v in arr]
     if not vals or vals[0] != 1:
         raise ValueError(f"unsupported model-config encoding version {vals[:1]}")
     (_, embed, d0, d1, d2, state, patch, bh, bw, keep, dec, headb, hrch) = vals

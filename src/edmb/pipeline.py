@@ -462,7 +462,8 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    """Atomic binary save: magic, version, count, then named tensor entries."""
+    """Atomic binary save: magic, version, count, then named tensor entries.
+    The temporary file is synced to disk before it replaces ``path``."""
     from .model import model_config_to_array
 
     entries = []
@@ -485,6 +486,8 @@ def save_checkpoint(ckpt: Checkpoint, path):
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)
             write_tensor(fh, arr)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -519,10 +522,9 @@ def load_checkpoint(path) -> Checkpoint:
                     raise FormatError(f"{path}: meta.step must be one finite value, got {arr!r}")
                 step = int(arr.reshape(-1)[0])
             elif name == "meta.fingerprint":
-                try:
-                    fingerprint = bytes(arr.astype(np.uint8)).decode("ascii")
-                except UnicodeDecodeError as exc:
-                    raise FormatError(f"{path}: meta.fingerprint is not ASCII") from exc
+                if not np.isin(arr, np.arange(128)).all():
+                    raise FormatError(f"{path}: meta.fingerprint is not ASCII")
+                fingerprint = bytes(arr.astype(np.uint8)).decode("ascii")
             elif name == "meta.model":
                 from .model import model_config_from_array
 

@@ -6,7 +6,7 @@ import pytest
 
 from edmb import diffcore as dc
 from edmb.diffcore import nn
-from edmb.diffcore.tensor import Tensor, _im2col
+from edmb.diffcore.tensor import Tensor, _conv2d_dense_raw, _im2col
 
 
 def conv2d_loop(x, w, b, stride, pad):
@@ -50,6 +50,36 @@ def depthwise_tap_loop(x, w, pad, g):
             out += w[:, 0, u, v].reshape(1, C, 1, 1) * xp[:, :, u : u + Ho, v : v + Wo]
             gxp[:, :, u : u + Ho, v : v + Wo] += w[:, 0, u, v].reshape(1, C, 1, 1) * g
     return out, gxp[:, :, pad : pad + H, pad : pad + W]
+
+
+def dense_conv_rows(x, w, stride, pad, b=None):
+    """Dense conv as (B, Ho*Wo, C*kh*kw) patch rows times ``w.T``, written
+    channel-first; returns the output and the patch rows."""
+    Co, C, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    B, _, Ho, Wo = win.shape[:4]
+    rows = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B, Ho * Wo, -1)
+    out = (rows @ w.reshape(Co, -1).T).transpose(0, 2, 1)
+    if b is not None:
+        out = out + b[:, None]
+    return np.ascontiguousarray(out).reshape(B, Co, Ho, Wo), rows
+
+
+def dense_conv_rows_grads(x, w, stride, pad, g):
+    """Input and weight gradients of ``dense_conv_rows`` for output gradient
+    ``g``: the input gradient correlates the dilated ``g`` with the flipped,
+    channel-swapped kernel; the weight gradient is ``g @ rows`` summed over B."""
+    Co, C, kh, kw = w.shape
+    B, _, H, W = x.shape
+    gd = np.zeros((B, Co, (g.shape[2] - 1) * stride + 1, (g.shape[3] - 1) * stride + 1), g.dtype)
+    gd[:, :, ::stride, ::stride] = g
+    wfl = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    gx = dense_conv_rows(gd, wfl, 1, kh - 1 - pad)[0][:, :, :H, :W]
+    rows = dense_conv_rows(x, w, stride, pad)[1]
+    gw = np.matmul(g.reshape(B, Co, -1), rows).sum(axis=0).reshape(w.shape)
+    return gx, gw
 
 
 def bilinear_loop(x, out_h, out_w):
@@ -136,7 +166,7 @@ class TestConv2d:
         win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
         win = win[:, :, ::stride, ::stride]  # (B,C,Ho,Wo,k,k)
         B, C, Ho, Wo = win.shape[:4]
-        want = win.transpose(0, 2, 3, 1, 4, 5).reshape(B, Ho * Wo, C * k * k)
+        want = win.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * k * k, Ho * Wo)
         got, gho, gwo = _im2col(x, k, k, stride, pad)
         assert (gho, gwo) == (Ho, Wo)
         assert got.flags.c_contiguous
@@ -182,6 +212,40 @@ class TestExactKernels:
         ref_out, ref_gx = depthwise_tap_loop(x.data, w.data, 1, g.data)
         assert np.array_equal(bits(out.data), bits(ref_out))
         assert np.array_equal(bits(x.grad), bits(ref_gx))
+
+    # Below M*N*K of about 1e6 per GEMM, OpenBLAS takes a small-matrix kernel
+    # whose bits depend on the operand orientation; every shape here is above it.
+    @pytest.mark.parametrize("shape,co,stride,with_bias", [
+        ((1, 32, 160, 160), 32, 1, True),
+        ((1, 32, 160, 160), 32, 1, False),
+        ((1, 3, 160, 160), 16, 1, True),
+        ((4, 16, 64, 64), 16, 1, False),
+        ((3, 16, 32, 32), 32, 1, True),
+        ((2, 16, 65, 65), 32, 2, True),
+    ])
+    def test_dense_matches_patch_rows_bitwise(self, rng, shape, co, stride, with_bias):
+        x = dc.randn(rng, shape, requires_grad=True)
+        w = dc.randn(rng, (co, shape[1], 3, 3), requires_grad=True)
+        b = dc.randn(rng, (co,), requires_grad=True) if with_bias else None
+        out = dc.conv2d(x, w, b, stride, 1)
+        g = dc.randn(rng, out.shape)
+        dc.backward(dc.tsum(dc.mul(out, g)))
+        ref_out, _ = dense_conv_rows(x.data, w.data, stride, 1, None if b is None else b.data)
+        ref_gx, ref_gw = dense_conv_rows_grads(x.data, w.data, stride, 1, g.data)
+        assert np.array_equal(bits(out.data), bits(ref_out))
+        assert np.array_equal(bits(x.grad), bits(ref_gx))
+        assert np.array_equal(bits(w.grad), bits(ref_gw))
+
+    @pytest.mark.parametrize("shape,stride", [((1, 32, 160, 160), 1), ((1, 32, 199, 199), 2)])
+    def test_dense_row_blocks_match_kept_columns_bitwise(self, rng, shape, stride):
+        # the blocks of output rows do not divide Ho (160 and 100 here)
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((32, shape[1], 3, 3)).astype(np.float32)
+        b = rng.standard_normal(32).astype(np.float32)
+        kept, cols = _conv2d_dense_raw(x, w, stride, 1, b, keep=True)
+        blocked, no_cols = _conv2d_dense_raw(x, w, stride, 1, b)
+        assert no_cols is None and cols.shape == (1, 32 * 9, kept.shape[2] * kept.shape[3])
+        assert np.array_equal(bits(blocked), bits(kept))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_relu_special_values_bitwise(self, dtype):

@@ -5,10 +5,10 @@ import pytest
 
 from edmb import diffcore as dc
 from edmb import netpbm
-from edmb.diffcore.io import FormatError
+from edmb.diffcore.io import FormatError, load_tensor_file, save_tensor_file
 from edmb.diffcore.tensor import Tensor
 from edmb.loss import LossConfig
-from edmb.model import EdgeDetector, ModelConfig
+from edmb.model import EdgeDetector, ModelConfig, model_config_from_array, model_config_to_array
 from edmb.pipeline import (
     Checkpoint,
     DatasetSample,
@@ -261,6 +261,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="fingerprint"):
             load_checkpoint(path)
 
+    def test_non_finite_model_config_is_value_error(self):
+        # a flipped exponent byte turns 1.0 into inf, which int(round()) cannot take
+        arr = model_config_to_array(ModelConfig())
+        arr[2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            model_config_from_array(arr)
+
     @pytest.mark.parametrize("step", [np.zeros(0), np.array([3.0, 4.0]), np.array([np.nan])])
     def test_bad_step_entry_is_format_error(self, tmp_path, step):
         # a state entry named meta.step is written before the real one, and
@@ -283,6 +290,55 @@ class TestCheckpoint:
         for (n1, p1), (n2, p2) in zip(model.named_parameters(), model2.named_parameters()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
+
+
+class TestCorruptFiles:
+    """Truncated or byte-flipped files fail with a named error
+    (FormatError, ImageFormatError or a plain ValueError), never with another
+    exception or a warning."""
+
+    @staticmethod
+    def _write(kind, path):
+        rng = np.random.default_rng(0)
+        if kind == "checkpoint":
+            ck = Checkpoint({"param.w": rng.random((4, 5), dtype=np.float32)},
+                            {"m.param.w": np.zeros((4, 5), np.float32)}, 7, "f" * 16,
+                            model_config=ModelConfig(embed_dim=16, depths=(1, 1, 1)))
+            save_checkpoint(ck, path)
+            return load_checkpoint
+        if kind == "tensor":
+            save_tensor_file(path, rng.random((10, 10), dtype=np.float32))
+            return load_tensor_file
+        if kind == "ppm":
+            netpbm.write_ppm(path, rng.random((12, 12, 3)))
+        else:
+            netpbm.write_pgm(path, rng.random((20, 20)))
+        return netpbm.read_netpbm
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "tensor", "ppm", "pgm"])
+    def test_truncations_and_byte_flips_fail_with_named_errors(self, tmp_path, kind):
+        load = self._write(kind, tmp_path / "good")
+        data = (tmp_path / "good").read_bytes()
+        assert len(data) > 400
+        rng = np.random.default_rng(1)
+        cases = [("truncated", n) for n in np.linspace(0, len(data) - 1, 400).astype(int)]
+        cases += [("flipped", i) for i in rng.integers(len(data), size=800)]
+        bad, unnamed = tmp_path / "bad", []
+        for what, n in cases:
+            if what == "truncated":
+                bad.write_bytes(data[:n])
+            else:
+                bad.write_bytes(data[:n] + bytes([data[n] ^ rng.integers(1, 256)]) + data[n + 1 :])
+            try:
+                load(bad)
+            except Exception as exc:
+                if not isinstance(exc, (FormatError, netpbm.ImageFormatError)) \
+                        and type(exc) is not ValueError:
+                    unnamed.append((what, n, repr(exc)))
+            else:
+                if what == "truncated":
+                    unnamed.append((what, n, "loaded"))
+        assert not unnamed, unnamed[:5]
 
 
 class TestConfigFile:
