@@ -107,7 +107,22 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "ods=1.000000" in out
         assert "ois=1.000000" in out
-        assert [line.split("=")[0] for line in out.splitlines()] == ["ods", "ois", "ods_threshold"]
+        assert "pooled_ods=1.000000" in out and "pooled_ois=1.000000" in out
+        assert [line.split("=")[0] for line in out.splitlines()] == [
+            "ods", "ois", "ods_threshold", "pooled_ods", "pooled_ois", "pooled_ods_threshold"]
+
+    @pytest.mark.parametrize("flag, named", [(["--thresholds", "0"], "thresholds"),
+                                             (["--max-dist", "nan"], "max_dist_frac")])
+    def test_bad_thresholds_or_radius_exit_1(self, workspace, tmp_path, capsys, flag, named):
+        data = workspace["data"]
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for sid in (data / "list.txt").read_text().split():
+            shutil.copy(data / "labels" / f"{sid}.pgm", pred / f"{sid}.pgm")
+        rc = main(["eval", "--pred", str(pred), "--gt", str(data / "labels"),
+                   "--list", str(data / "list.txt")] + flag)
+        assert rc == 1
+        assert named in capsys.readouterr().err
 
     def test_multigranularity_mode(self, workspace, tmp_path, capsys):
         data = workspace["data"]

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
+from scipy.spatial import cKDTree
 
 from edmb import diffcore as dc
 from edmb import eval as evalkit
@@ -121,9 +126,90 @@ class TestMatchEdges:
         n = int(pred.sum())
         assert n == 16000
         assert match_edges(pred, gt, frac) == (n, n)
-        np.testing.assert_array_equal(evalkit._matched_pred_pixels(pred, gt, frac), pred)
+        pairs = evalkit._adjacency(np.argwhere(pred), gt, frac)
+        alive = np.ones(n, bool)
+        np.testing.assert_array_equal(evalkit._matched_pred_pixels(alive, gt, pairs), alive)
         rep = f_curve([pred.astype(float)], [gt], thresholds=[0.5], max_dist_frac=frac)
         assert rep.recall[0] == 1.0 and rep.precision[0] == 1.0
+
+
+def _full_graph_matched(pred_bin, gt_bin, max_dist_frac):
+    """Per-threshold matcher: both KD-trees and the adjacency built from
+    ``pred_bin`` itself, every pred and gt pixel a node of the flow."""
+    radius = max_dist_frac * math.hypot(*pred_bin.shape)
+    pred_pts, gt_pts = np.argwhere(pred_bin), np.argwhere(gt_bin)
+    out = np.zeros(pred_bin.shape, dtype=bool)
+    n_pred, n_gt = len(pred_pts), len(gt_pts)
+    if n_pred == 0 or n_gt == 0:
+        return out
+    pairs = cKDTree(pred_pts).sparse_distance_matrix(
+        cKDTree(gt_pts), radius, output_type="ndarray"
+    )
+    source, sink = n_pred + n_gt, n_pred + n_gt + 1
+    rows = np.concatenate([np.full(n_pred, source), pairs["i"], n_pred + np.arange(n_gt)])
+    cols = np.concatenate([np.arange(n_pred), n_pred + pairs["j"], np.full(n_gt, sink)])
+    caps = csr_matrix((np.ones(len(rows), dtype=np.int32), (rows, cols)),
+                      shape=(sink + 1, sink + 1))
+    flow = maximum_flow(caps, source, sink).flow
+    matched = flow[source:source + 1, :n_pred].toarray().ravel() > 0
+    out[pred_pts[matched, 0], pred_pts[matched, 1]] = True
+    return out
+
+
+def _per_threshold_counts(pred_map, gt_maps, thresholds, max_dist_frac=0.0075):
+    """``image_counts`` as one full match per (threshold, annotator)."""
+    T = len(thresholds)
+    cnt_p, sum_p, cnt_r, sum_r = (np.zeros(T) for _ in range(4))
+    total_gt = sum(int(g.sum()) for g in gt_maps)
+    for k, t in enumerate(thresholds):
+        pred_bin = pred_map >= t
+        sum_p[k] = int(pred_bin.sum())
+        sum_r[k] = total_gt
+        if sum_p[k] == 0:
+            continue
+        union = np.zeros_like(pred_bin)
+        for g in gt_maps:
+            mp = _full_graph_matched(pred_bin, g, max_dist_frac)
+            cnt_r[k] += int(mp.sum())
+            union |= mp
+        cnt_p[k] = int(union.sum())
+    return cnt_p, sum_p, cnt_r, sum_r
+
+
+class TestImageCounts:
+    def _cases(self, rng):
+        for seed in range(4):
+            r = np.random.default_rng([seed, 17])
+            H, W = 48, 72
+            pred = nms_thin(r.random((H, W)) ** 3)
+            gts = [r.random((H, W)) > 0.9 for _ in range(3)]
+            yield pred, gts, default_thresholds(9), 0.05
+        pred = nms_thin(rng.random((40, 40)))
+        gts = [rng.random((40, 40)) > 0.85, np.zeros((40, 40), bool), rng.random((40, 40)) > 0.9]
+        # unsorted, and one threshold above every predicted value
+        yield pred, gts, np.array([0.6, 0.1, 2.0, 0.35, 0.05, 0.8]), 0.04
+
+    def test_equals_per_threshold_matching(self, rng):
+        for pred, gts, thresholds, frac in self._cases(rng):
+            got = evalkit.image_counts(pred, gts, thresholds, frac)
+            want = _per_threshold_counts(pred, gts, thresholds, frac)
+            for name, a, b in zip(("cnt_p", "sum_p", "cnt_r", "sum_r"),
+                                  (got.cnt_p, got.sum_p, got.cnt_r, got.sum_r), want):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_one_adjacency_per_annotator(self, rng, monkeypatch):
+        builds = []
+        real = evalkit._adjacency
+
+        def counting(pred_pts, gt_bin, max_dist_frac):
+            builds.append(id(gt_bin))
+            return real(pred_pts, gt_bin, max_dist_frac)
+
+        monkeypatch.setattr(evalkit, "_adjacency", counting)
+        pred = rng.random((30, 30))
+        gts = [rng.random((30, 30)) > 0.8 for _ in range(3)]
+        evalkit.image_counts(pred, gts, default_thresholds(11), 0.05)
+        assert sorted(builds) == sorted(id(g) for g in gts)
 
 
 class TestFCurve:
@@ -194,6 +280,46 @@ class TestFCurve:
                 gts.append(gt)
             rep = f_curve(preds, gts, thresholds=9)
             assert rep.ois_f >= rep.ods_f - 1e-12
+
+    def test_pooled_ods_ois_hand_two_images(self):
+        # radius 0: a pred pixel matches only the gt pixel under it.
+        # image 1: gt 1 px, hit at 0.9, 3 misses at 0.5 -> F 0.4 at t=0.25, 1 at 0.75
+        # image 2: gt 10 px, hits 4 at 0.9 + 6 at 0.5, 1 miss at 0.5
+        #          -> F 20/21 at t=0.25, 4/7 at 0.75
+        p1, g1 = np.zeros((4, 8)), np.zeros((4, 8), bool)
+        g1[0, 0] = True
+        p1[0, 0] = 0.9
+        p1[3, 5:8] = 0.5
+        p2, g2 = np.zeros((4, 8)), np.zeros((4, 8), bool)
+        g2[1, :8] = g2[2, :2] = True
+        p2[1, :4] = 0.9
+        p2[1, 4:8] = p2[2, :2] = 0.5
+        p2[3, 0] = 0.5
+        rep = f_curve([p1, p2], [g1, g2], thresholds=[0.25, 0.75], max_dist_frac=0.0)
+        # mean F: (0.4 + 20/21)/2 at 0.25, (1 + 4/7)/2 = 11/14 at 0.75
+        assert rep.ods_threshold == 0.75 and rep.ods_f == pytest.approx(11 / 14)
+        assert rep.ois_f == pytest.approx((1 + 20 / 21) / 2)
+        # pooled: P 11/15, R 1 -> 11/13 at 0.25; P 1, R 5/11 -> 5/8 at 0.75
+        np.testing.assert_allclose(rep.f, [11 / 13, 5 / 8])
+        assert rep.pooled_ods_threshold == 0.25 and rep.pooled_ods_f == pytest.approx(11 / 13)
+        # best thresholds 0.75 and 0.25: (1 + 10)/(1 + 11) precision, full recall
+        assert rep.pooled_ois_f == pytest.approx(22 / 23)
+
+    @pytest.mark.parametrize("thresholds", [[0.5, np.nan], [0.2, np.inf], [], 0])
+    def test_bad_thresholds_rejected(self, thresholds):
+        gt = np.zeros((6, 6), bool)
+        gt[3, 1:5] = True
+        with pytest.raises(ValueError, match="thresholds"):
+            f_curve([gt.astype(float)], [gt], thresholds=thresholds)
+        with pytest.raises(ValueError, match="thresholds"):
+            eval_multigranularity([[gt.astype(float)]], [gt], thresholds)
+
+    @pytest.mark.parametrize("frac", [np.nan, np.inf, -0.01])
+    def test_bad_radius_rejected(self, frac):
+        gt = np.zeros((6, 6), bool)
+        gt[3, 1:5] = True
+        with pytest.raises(ValueError, match="max_dist_frac"):
+            f_curve([gt.astype(float)], [gt], max_dist_frac=frac)
 
     def test_default_thresholds_open_interval(self):
         t = default_thresholds(33)
@@ -287,7 +413,8 @@ class TestReport:
         gt[4, 2:6] = True
         rep = f_curve([gt.astype(float)], [gt], thresholds=3)
         keys = [line.split("=")[0] for line in rep.summary_kv().splitlines()]
-        assert keys == ["ods", "ois", "ods_threshold"]
+        assert keys == ["ods", "ois", "ods_threshold",
+                        "pooled_ods", "pooled_ois", "pooled_ods_threshold"]
 
 
 class TestThreads:
