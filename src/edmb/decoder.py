@@ -5,14 +5,15 @@ Three fusion cascades produce a high-resolution global map (the guide), a
 fine-grained mean map, and a fine-grained variance map. The guide modulates
 both fine branches through affine transforms predicted from it; softplus on
 the variance heads keeps every variance non-negative. The direct edge head
-reads the guide and supervises the global stage; the auxiliary mean and
-variance heads read the fine maps directly and supervise the fine stage.
+reads the guide and gives the global stage its edge probability map. The
+fine stage gets a list of ``EdgeDistribution`` (mu, var) pairs: the main
+one, then, for training, the auxiliary one whose heads read the fine maps
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import diffcore as dc
 from .diffcore import nn
@@ -21,13 +22,10 @@ from .diffcore.tensor import Tensor
 
 @dataclass
 class EdgeDistribution:
-    """Per-pixel Gaussian over edge logits plus auxiliary training outputs."""
+    """Per-pixel Gaussian (mu, var) over edge logits."""
 
     mu: Tensor
     var: Tensor
-    aux_p: Optional[Tensor] = None
-    aux_mu: Optional[Tensor] = None
-    aux_var: Optional[Tensor] = None
 
 
 class MBConv(nn.Module):
@@ -121,22 +119,22 @@ class Head(nn.Module):
 class LGDDecoder(nn.Module):
     """Fuses the three pyramids and emits the per-pixel edge distribution."""
 
-    def __init__(self, global_channels, fine_channels, high_channels, rng,
-                 out_ch=32, head_blocks=2):
+    def __init__(self, cfg, rng):
         super().__init__()
-        # levels arrive coarse to fine: scan pyramid reversed, then high-res
-        g_levels = list(reversed(global_channels)) + list(reversed(high_channels))
-        f_levels = list(reversed(fine_channels)) + list(reversed(high_channels))
-        self.cff_global = CFF(g_levels, out_ch, rng)
-        self.cff_mean = CFF(f_levels, out_ch, rng)
-        self.cff_var = CFF(f_levels, out_ch, rng)
-        self.sft_mean = SFT(out_ch, out_ch, rng)
-        self.sft_var = SFT(out_ch, out_ch, rng)
-        self.mean_head = Head(out_ch, rng, head_blocks)
-        self.var_head = Head(out_ch, rng, head_blocks)
-        self.edge_head = Head(out_ch, rng, head_blocks)
-        self.aux_mean_head = Head(out_ch, rng, head_blocks)
-        self.aux_var_head = Head(out_ch, rng, head_blocks)
+        d, h, ch, blocks = cfg.embed_dim, cfg.highres_ch, cfg.decoder_ch, cfg.head_blocks
+        # levels arrive coarse to fine: scan pyramid reversed, then high-res;
+        # the global and fine scan pyramids have the same widths
+        levels = [4 * d, 2 * d, d, 2 * h, h]
+        self.cff_global = CFF(levels, ch, rng)
+        self.cff_mean = CFF(levels, ch, rng)
+        self.cff_var = CFF(levels, ch, rng)
+        self.sft_mean = SFT(ch, ch, rng)
+        self.sft_var = SFT(ch, ch, rng)
+        self.mean_head = Head(ch, rng, blocks)
+        self.var_head = Head(ch, rng, blocks)
+        self.edge_head = Head(ch, rng, blocks)
+        self.aux_mean_head = Head(ch, rng, blocks)
+        self.aux_var_head = Head(ch, rng, blocks)
 
     @staticmethod
     def _levels(pyramid, high):
@@ -147,18 +145,18 @@ class LGDDecoder(nn.Module):
         return self.cff_global(self._levels(f_g, f_h))
 
     def decode(self, guide, f_f, f_h, include_aux=True):
-        """Per-pixel (mu, var) from the fine pyramid, modulated by ``guide``;
-        with ``include_aux`` also the auxiliary (mu, var) of the fine maps."""
+        """``[main]``: the distribution of the fine pyramid modulated by
+        ``guide``; with ``include_aux``, ``[main, aux]``, where ``aux`` reads
+        the unmodulated fine maps."""
         levels = self._levels(f_f, f_h)
         fm = self.cff_mean(levels)
         fv = self.cff_var(levels)
-        mu = self.mean_head(self.sft_mean(fm, guide))
-        var = dc.softplus(self.var_head(self.sft_var(fv, guide)))
-        if not include_aux:
-            return EdgeDistribution(mu, var)
-        aux_mu = self.aux_mean_head(fm)
-        aux_var = dc.softplus(self.aux_var_head(fv))
-        return EdgeDistribution(mu, var, aux_mu=aux_mu, aux_var=aux_var)
+        out = [EdgeDistribution(self.mean_head(self.sft_mean(fm, guide)),
+                                dc.softplus(self.var_head(self.sft_var(fv, guide))))]
+        if include_aux:
+            out.append(EdgeDistribution(self.aux_mean_head(fm),
+                                        dc.softplus(self.aux_var_head(fv))))
+        return out
 
     def decode_global(self, f_g, f_h):
         """Stage-1 path: the direct edge probability of the guide map."""

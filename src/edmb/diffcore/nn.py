@@ -134,13 +134,9 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, in_dim, out_dim, rng, zero_init=False):
+    def __init__(self, in_dim, out_dim, rng):
         super().__init__()
-        if zero_init:
-            w = np.zeros((in_dim, out_dim))
-        else:
-            s = 1.0 / math.sqrt(in_dim)
-            w = rng.standard_normal((in_dim, out_dim)) * s
+        w = rng.standard_normal((in_dim, out_dim)) * (1.0 / math.sqrt(in_dim))
         self.weight = T.parameter(w)
         self.bias = T.parameter(np.zeros(out_dim))
 

@@ -107,9 +107,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self):
-        return self.data
-
     def zero_grad(self):
         self.grad = None
 

@@ -6,7 +6,7 @@ followed by three stages of bidirectional scan blocks at strides 4/8/16,
 channels doubling at each 2x2 token merge. The fine-grained encoder runs the
 same network over the four image quadrants; during training only a random
 subset of windows records gradients while all windows contribute activations.
-Both scan encoders read their architecture from the model's ``ModelConfig``.
+Every encoder reads its architecture from the model's ``ModelConfig``.
 Every encoder returns its feature maps as a list, finest first; a map's
 stride is the input size over its own.
 """
@@ -116,11 +116,12 @@ class FineEncoder(nn.Module):
 
 
 class HighResEncoder(nn.Module):
-    """Two plain conv+ReLU blocks keeping full resolution, 16 then 32
+    """Two plain conv+ReLU blocks, ``highres_ch`` then twice as many
     channels, with a 2x2 max-pool between them."""
 
-    def __init__(self, rng, width=16):
+    def __init__(self, cfg, rng):
         super().__init__()
+        width = cfg.highres_ch
         self.conv1 = nn.Conv2d(3, width, 3, rng)
         self.conv2 = nn.Conv2d(width, width * 2, 3, rng)
 

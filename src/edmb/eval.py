@@ -155,8 +155,14 @@ def match_edges(pred_binary, gt_binary, max_dist_frac=0.0075):
 # -- precision / recall / F curves -----------------------------------------------------
 
 
-def fmeasure(p, r):
-    return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
+def prf(cnt_p, sum_p, cnt_r, sum_r):
+    """Precision, recall and F of matching counts, elementwise. With no
+    predicted pixels precision is 1; with no ground-truth pixels recall is 0;
+    F is 0 where precision and recall both are."""
+    p = np.divide(cnt_p, sum_p, out=np.ones(np.shape(sum_p)), where=sum_p > 0)
+    r = np.divide(cnt_r, sum_r, out=np.zeros(np.shape(sum_r)), where=sum_r > 0)
+    s = p + r
+    return p, r, np.divide(2.0 * p * r, s, out=np.zeros(np.shape(s)), where=s > 0)
 
 
 @dataclass
@@ -167,11 +173,6 @@ class ImageCounts:
     sum_p: np.ndarray
     cnt_r: np.ndarray
     sum_r: np.ndarray
-
-    def f_at(self, k):
-        p = 1.0 if self.sum_p[k] == 0 else self.cnt_p[k] / self.sum_p[k]
-        r = 0.0 if self.sum_r[k] == 0 else self.cnt_r[k] / self.sum_r[k]
-        return fmeasure(p, r)
 
 
 @dataclass
@@ -269,19 +270,15 @@ def f_curve(preds, gts, thresholds=33, max_dist_frac=0.0075):
 
 
 def _aggregate(per_image, thresholds):
-    T = len(thresholds)
     stacked = np.array([astuple(c) for c in per_image])  # (I, 4, T)
-    cnt_p, sum_p, cnt_r, sum_r = stacked.sum(axis=0)
-    precision = np.where(sum_p > 0, cnt_p / np.maximum(sum_p, 1), 1.0)
-    recall = np.where(sum_r > 0, cnt_r / np.maximum(sum_r, 1), 0.0)
-    f = np.array([fmeasure(p, r) for p, r in zip(precision, recall)])
-    per_f = np.array([[c.f_at(k) for k in range(T)] for c in per_image])  # (I,T)
+    precision, recall, f = prf(*stacked.sum(axis=0))
+    per_f = prf(*stacked.transpose(1, 0, 2))[2]  # (I, T)
     mean_f = per_f.mean(axis=0)
     k_best = int(np.argmax(mean_f))
     ois = float(per_f.max(axis=1).mean())
     k_pooled = int(np.argmax(f))
     at_best = stacked[np.arange(len(per_image)), :, per_f.argmax(axis=1)].sum(axis=0)
-    pooled_ois = ImageCounts(*at_best[:, None]).f_at(0)
+    pooled_ois = prf(*at_best)[2]
     return EvalReport(
         thresholds=thresholds,
         precision=precision,
@@ -330,15 +327,11 @@ def eval_multigranularity(sample_sets, gts, thresholds=33, max_dist_frac=0.0075)
 
     counts = _map_images(work, zip(sample_sets, gts))
 
-    T = len(thresholds)
     chosen_rows = []
     for per_sample in counts:  # one image
-        fs = np.array([[c.f_at(k) for k in range(T)] for c in per_sample])  # (M,T)
-        pick = (fs.argmax(axis=0), np.arange(T))  # best sample per threshold
-        chosen_rows.append(ImageCounts(
-            *(np.array([getattr(c, name) for c in per_sample])[pick]
-              for name in ("cnt_p", "sum_p", "cnt_r", "sum_r"))
-        ))
+        stacked = np.array([astuple(c) for c in per_sample])  # (M, 4, T)
+        best = prf(*stacked.transpose(1, 0, 2))[2].argmax(axis=0)  # sample per threshold
+        chosen_rows.append(ImageCounts(*stacked[best, :, np.arange(len(thresholds))].T))
     return _aggregate(chosen_rows, thresholds)
 
 

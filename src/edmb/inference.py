@@ -42,7 +42,7 @@ def predict_distribution(model, image) -> EdgeDistribution:
     model.eval()
     try:
         with dc.no_grad():
-            return stage_outputs(model, arr, "fine", include_aux=False)
+            return stage_outputs(model, arr, "fine", include_aux=False)[0]
     finally:
         model.train(was_training)
 

@@ -130,25 +130,26 @@ def elbo_loss(p, y, mask, mu, var, cfg):
 
 
 def stage_losses(outputs, y, mask, cfg, stage, rng=None):
-    """Stage objectives: the global stage supervises the direct edge
-    probability with WCE; the fine stage sums the main ELBO and the
-    alpha2-weighted auxiliary ELBO, each drawing its own sample."""
+    """Stage objectives, for ``outputs`` as ``stage_outputs`` returns them.
+
+    The global stage supervises the edge probability map with WCE. The fine
+    stage takes the distributions ``[main]`` or ``[main, aux]`` and sums the
+    main ELBO and the alpha2-weighted auxiliary ELBO, each drawing its own
+    sample.
+    """
     if stage == "global":
-        if outputs.aux_p is None:
-            raise ValueError("global stage needs the aux edge probability output")
-        return wce_loss(outputs.aux_p, y, mask, cfg)
-    if stage == "fine":
-        if outputs.mu is None or outputs.var is None:
-            raise ValueError("fine stage needs the mean/variance outputs")
-        if rng is None:
-            raise ValueError("fine stage sampling needs an rng")
-        p = sample_reparam(outputs.mu, outputs.var, rng)
-        total = elbo_loss(p, y, mask, outputs.mu, outputs.var, cfg)
-        if cfg.alpha2 > 0:
-            if outputs.aux_mu is None or outputs.aux_var is None:
-                raise ValueError("fine stage with alpha2 > 0 needs auxiliary outputs")
-            p_a = sample_reparam(outputs.aux_mu, outputs.aux_var, rng)
-            aux = elbo_loss(p_a, y, mask, outputs.aux_mu, outputs.aux_var, cfg)
-            total = dc.add(total, dc.mul(aux, cfg.alpha2))
-        return total
-    raise ValueError(f"unknown stage {stage!r}; expected 'global' or 'fine'")
+        return wce_loss(outputs, y, mask, cfg)
+    if stage != "fine":
+        raise ValueError(f"unknown stage {stage!r}; expected 'global' or 'fine'")
+    if rng is None:
+        raise ValueError("fine stage sampling needs an rng")
+    if cfg.alpha2 > 0 and len(outputs) < 2:
+        raise ValueError("fine stage with alpha2 > 0 needs the auxiliary distribution")
+
+    def elbo(dist):
+        return elbo_loss(sample_reparam(dist.mu, dist.var, rng), y, mask, dist.mu, dist.var, cfg)
+
+    total = elbo(outputs[0])
+    if cfg.alpha2 > 0:
+        total = dc.add(total, dc.mul(elbo(outputs[1]), cfg.alpha2))
+    return total

@@ -42,16 +42,8 @@ class EdgeDetector(nn.Module):
         rng = np.random.default_rng(cfg.seed)
         self.global_enc = MambaEncoder(cfg, rng)
         self.fine_enc = FineEncoder(cfg, rng)
-        self.high_enc = HighResEncoder(rng, width=cfg.highres_ch)
-        d = cfg.embed_dim
-        self.decoder = LGDDecoder(
-            global_channels=[d, 2 * d, 4 * d],
-            fine_channels=[d, 2 * d, 4 * d],
-            high_channels=[cfg.highres_ch, 2 * cfg.highres_ch],
-            rng=rng,
-            out_ch=cfg.decoder_ch,
-            head_blocks=cfg.head_blocks,
-        )
+        self.high_enc = HighResEncoder(cfg, rng)
+        self.decoder = LGDDecoder(cfg, rng)
 
     # -- forward paths ---------------------------------------------------------
 
@@ -61,7 +53,8 @@ class EdgeDetector(nn.Module):
 
     def forward_full(self, image, training=False, rng=None, include_aux=True):
         """Stage-2 path: the frozen global branch (both encoders and the guide
-        fusion, run without gradients) conditions the fine distribution."""
+        fusion, run without gradients) conditions the fine distributions,
+        returned as ``LGDDecoder.decode`` returns them."""
         with dc.no_grad():
             f_g = self.global_enc(image)
             f_h = self.high_enc(image)

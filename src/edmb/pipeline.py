@@ -369,8 +369,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in ("global", "fine"):
             raise ValueError(f"stage must be global or fine, got {self.stage!r}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("learning rate must be positive")
+        for name in ("batch_size", "max_steps", "save_every", "weight_decay"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not 0 < self.mixed_threshold <= 1:
+            raise ValueError(f"mixed_threshold must lie in (0, 1], got {self.mixed_threshold}")
         if self.label_mode not in ("random", "mixed"):
             raise ValueError(f"unknown label mode {self.label_mode!r}")
 
@@ -553,25 +558,23 @@ def pad_to_multiple(batch, mult=32):
 def stage_outputs(model, batch, stage, training=False, rng=None, include_aux=True):
     """One stage's outputs for a (B,3,H,W) array, at input resolution.
 
-    The batch is reflect-padded to a multiple of 32 for the encoders, run
-    through ``forward_global`` (global stage: ``aux_p`` only) or
-    ``forward_full`` (fine stage), and every output map is cropped back to
-    H x W.
+    The batch is reflect-padded to a multiple of 32 for the encoders, and
+    every output map is cropped back to H x W. The global stage returns the
+    edge probability map of ``forward_global``; the fine stage returns the
+    list of distributions of ``forward_full``, main first.
     """
     padded, H, W = pad_to_multiple(batch)
     x = Tensor(padded)
-    if stage == "global":
-        out = EdgeDistribution(None, None, aux_p=model.forward_global(x))
-    else:
-        out = model.forward_full(x, training=training, rng=rng, include_aux=include_aux)
 
     def crop(t):
-        if t is None or t.shape[2:] == (H, W):
+        if t.shape[2:] == (H, W):
             return t
         return dc.narrow(dc.narrow(t, 2, 0, H), 3, 0, W)
 
-    return EdgeDistribution(*(crop(t) for t in (out.mu, out.var, out.aux_p,
-                                                 out.aux_mu, out.aux_var)))
+    if stage == "global":
+        return crop(model.forward_global(x))
+    dists = model.forward_full(x, training=training, rng=rng, include_aux=include_aux)
+    return [EdgeDistribution(crop(d.mu), crop(d.var)) for d in dists]
 
 
 # -- the training loop -----------------------------------------------------------------

@@ -75,23 +75,12 @@ class TokenSequence:
                 f"token count {self.tokens.shape[1]} != grid {h}x{w}"
             )
 
-    @property
-    def length(self):
-        return self.tokens.shape[1]
-
     def to_map(self):
         """Reshape (B, M, D) tokens to a (B, D, h, w) feature map."""
         B, M, D = self.tokens.shape
         h, w = self.grid
         t = dc.reshape(self.tokens, (B, h, w, D))
         return dc.transpose(t, (0, 3, 1, 2))
-
-
-def map_to_tokens(fmap):
-    """Inverse of TokenSequence.to_map: (B, D, h, w) -> row-major tokens."""
-    B, D, h, w = fmap.shape
-    t = dc.transpose(fmap, (0, 2, 3, 1))
-    return TokenSequence(dc.reshape(t, (B, h * w, D)), (h, w))
 
 
 # -- the scan primitive ---------------------------------------------------------
@@ -242,12 +231,12 @@ def scan_kernel_oracle(seq, params):
 class VimBlock(nn.Module):
     """Bidirectional scan block: Lin(scan_f(x) + scan_b(x)) + x, pre-normed."""
 
-    def __init__(self, dim, state_dim, rng, zero_init_proj=False):
+    def __init__(self, dim, state_dim, rng):
         super().__init__()
         self.norm = nn.LayerNorm(dim)
         self.fwd = SSMParams(dim, state_dim, rng)
         self.bwd = SSMParams(dim, state_dim, rng)
-        self.proj = nn.Linear(dim, dim, rng, zero_init=zero_init_proj)
+        self.proj = nn.Linear(dim, dim, rng)
 
     def __call__(self, seq):
         normed = TokenSequence(self.norm(seq.tokens), seq.grid)

@@ -120,6 +120,7 @@ def _train_ods(model, corpus):
     return rep
 
 
+@pytest.mark.slow
 def test_criterion_05_overfit():
     t_start = time.time()
     corpus = make_shape_corpus(10, 64, seed=7)
@@ -218,7 +219,7 @@ def test_criterion_07_two_stage_freeze():
     aux_ok = np.array_equal(aux_before, aux_after)
     ok = frozen_ok and aux_ok
     assert _line(7, ok, f"frozen global/high-res parameters bit-identical after "
-                        f"stage-2 training: {frozen_ok}; stage-2 aux_p equals "
+                        f"stage-2 training: {frozen_ok}; stage-2 edge probability equals "
                         f"stage-1 output exactly: {aux_ok}")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edmb import diffcore as dc
-from edmb.decoder import CFF, MBConv, SFT, Head, LGDDecoder
+from edmb.decoder import CFF, MBConv, SFT, EdgeDistribution, Head
 from edmb.diffcore.tensor import Tensor
 from edmb.model import EdgeDetector, ModelConfig
 
@@ -89,8 +89,8 @@ class TestDecodeLGD:
     def test_all_five_maps_full_resolution(self, rng):
         model = tiny_model()
         x = dc.randn(rng, (1, 3, 64, 64))
-        dist = model.forward_full(x, training=False, include_aux=True)
-        for m in (dist.mu, dist.var, model.forward_global(x), dist.aux_mu, dist.aux_var):
+        main, aux = model.forward_full(x, training=False, include_aux=True)
+        for m in (main.mu, main.var, model.forward_global(x), aux.mu, aux.var):
             assert m.shape == (1, 1, 64, 64)
 
     def test_variance_nonnegative_for_random_parameterizations(self, rng):
@@ -110,9 +110,9 @@ class TestDecodeLGD:
         for seed in range(3):
             model = tiny_model(seed)
             x = dc.randn(rng, (1, 3, 64, 64))
-            dist = model.forward_full(x, training=False, include_aux=True)
-            assert (dist.var.data >= 0).all()
-            assert (dist.aux_var.data >= 0).all()
+            main, aux = model.forward_full(x, training=False, include_aux=True)
+            assert (main.var.data >= 0).all()
+            assert (aux.var.data >= 0).all()
 
     def test_aux_heads_do_not_affect_inference(self, rng):
         model = tiny_model()
@@ -121,9 +121,9 @@ class TestDecodeLGD:
         with dc.no_grad():
             with_aux = model.forward_full(x, training=False, include_aux=True)
             without = model.forward_full(x, training=False, include_aux=False)
-        np.testing.assert_array_equal(with_aux.mu.data, without.mu.data)
-        np.testing.assert_array_equal(with_aux.var.data, without.var.data)
-        assert without.aux_p is None and without.aux_mu is None
+        assert len(with_aux) == 2 and len(without) == 1
+        np.testing.assert_array_equal(with_aux[0].mu.data, without[0].mu.data)
+        np.testing.assert_array_equal(with_aux[0].var.data, without[0].var.data)
 
     def test_aux_p_in_unit_interval(self, rng):
         model = tiny_model()
@@ -147,8 +147,8 @@ class TestDecodeLGD:
     def test_full_resolution_across_sizes(self, rng):
         model = tiny_model()
         for size in (32, 64, 96):
-            dist = model.forward_full(dc.zeros((1, 3, size, size)), training=False,
-                                      include_aux=False)
+            (dist,) = model.forward_full(dc.zeros((1, 3, size, size)), training=False,
+                                         include_aux=False)
             assert dist.mu.shape == (1, 1, size, size)
             assert dist.var.shape == (1, 1, size, size)
 
@@ -174,5 +174,6 @@ class TestFunctionalSurface:
         f_h = model.high_enc(x)
         f_f = model.fine_enc(x, training=False)
         guide = model.decoder.guide(f_g, f_h)
-        dist = model.decoder.decode(guide, f_f, f_h, include_aux=False)
-        assert dist.mu.shape == (1, 1, 64, 64) and dist.aux_mu is None
+        (dist,) = model.decoder.decode(guide, f_f, f_h, include_aux=False)
+        assert isinstance(dist, EdgeDistribution)
+        assert dist.mu.shape == (1, 1, 64, 64) and dist.var.shape == (1, 1, 64, 64)

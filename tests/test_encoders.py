@@ -171,13 +171,13 @@ class TestFineEncoder:
 
 class TestHighResEncoder:
     def test_shape_contract(self, rng):
-        enc = HighResEncoder(rng)
+        enc = HighResEncoder(ModelConfig(), rng)
         pyr = enc(dc.zeros((1, 3, 64, 64)))
         assert pyr[0].shape == (1, 16, 64, 64)
         assert pyr[1].shape == (1, 32, 32, 32)
 
     def test_constant_input_constant_interior(self, rng):
-        enc = HighResEncoder(rng)
+        enc = HighResEncoder(ModelConfig(), rng)
         pyr = enc(Tensor(np.full((1, 3, 16, 16), 0.7, dtype=np.float32)))
         f1 = pyr[0].data[0, :, 1:-1, 1:-1]
         assert np.abs(f1 - f1[:, :1, :1]).max() < 1e-6
@@ -193,6 +193,6 @@ class TestHighResEncoder:
         assert e_h < 0.01 * model.param_count()
 
     def test_odd_input_rejected(self, rng):
-        enc = HighResEncoder(rng)
+        enc = HighResEncoder(ModelConfig(), rng)
         with pytest.raises(ValueError, match="even"):
             enc(dc.zeros((1, 3, 15, 16)))

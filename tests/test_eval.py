@@ -14,9 +14,9 @@ from edmb.eval import (
     default_thresholds,
     eval_multigranularity,
     f_curve,
-    fmeasure,
     match_edges,
     nms_thin,
+    prf,
 )
 from edmb.model import EdgeDetector, ModelConfig
 
@@ -232,8 +232,12 @@ class TestFCurve:
         assert rep.f[0] == 0.5
 
     def test_f_formula(self):
-        assert abs(fmeasure(1.0, 0.5) - 2.0 / 3.0) < 1e-12
-        assert fmeasure(0.0, 0.0) == 0.0
+        p, r, f = prf(np.array([2.0, 0.0, 3.0, 0.0]), np.array([2.0, 4.0, 0.0, 0.0]),
+                      np.array([1.0, 0.0, 0.0, 0.0]), np.array([2.0, 5.0, 0.0, 3.0]))
+        np.testing.assert_array_equal(p, [1.0, 0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(r, [0.5, 0.0, 0.0, 0.0])
+        assert abs(f[0] - 2.0 / 3.0) < 1e-12
+        np.testing.assert_array_equal(f[1:], 0.0)
 
     def test_empty_prediction_convention(self):
         gt = np.zeros((6, 6), bool)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -37,7 +38,7 @@ class TestPredictDistribution:
         dist = predict_distribution(model, img)
         assert dist.mu.shape == (1, 1, 64, 64)
         assert dist.var.shape == (1, 1, 64, 64)
-        assert dist.aux_p is None
+        assert [f.name for f in dataclasses.fields(dist)] == ["mu", "var"]
 
     def test_pad_and_crop_70(self, model, rng):
         img = rng.random((3, 70, 70)).astype(np.float32)

@@ -223,10 +223,9 @@ class TestStageLosses:
         cfg = LossConfig()
         y = (rng.random((4, 4)) > 0.7).astype(float)
         mask = np.ones((4, 4))
-        aux_p = Tensor(rng.random((1, 1, 4, 4)) * 0.8 + 0.1)
-        out = EdgeDistribution(None, None, aux_p=aux_p)
-        got = stage_losses(out, y, mask, cfg, "global").item()
-        assert got == wce_loss(aux_p, y, mask, cfg).item()
+        p = Tensor(rng.random((1, 1, 4, 4)) * 0.8 + 0.1)
+        got = stage_losses(p, y, mask, cfg, "global").item()
+        assert got == wce_loss(p, y, mask, cfg).item()
 
     def test_fine_stage_alpha2_zero_main_only(self, f64, rng):
         cfg = LossConfig(alpha2=0.0)
@@ -235,7 +234,7 @@ class TestStageLosses:
         mu = Tensor(rng.standard_normal((1, 1, 4, 4)))
         var = Tensor(rng.random((1, 1, 4, 4)) + 0.1)
         noise = np.random.default_rng(5).standard_normal((1, 1, 4, 4))
-        out = EdgeDistribution(mu, var)
+        out = [EdgeDistribution(mu, var)]
         got = stage_losses(out, y, mask, cfg, "fine", rng=ReplayRng([noise])).item()
         p = sample_reparam(mu, var, ReplayRng([noise]))
         want = elbo_loss(p, y, mask, mu, var, cfg).item()
@@ -251,27 +250,26 @@ class TestStageLosses:
         avar = Tensor(rng.random((1, 1, 4, 4)) + 0.1)
         n1 = np.random.default_rng(5).standard_normal((1, 1, 4, 4))
         n2 = np.random.default_rng(6).standard_normal((1, 1, 4, 4))
-        out = EdgeDistribution(mu, var, aux_mu=amu, aux_var=avar)
+        out = [EdgeDistribution(mu, var), EdgeDistribution(amu, avar)]
         got = stage_losses(out, y, mask, cfg, "fine", rng=ReplayRng([n1, n2])).item()
         main = elbo_loss(sample_reparam(mu, var, ReplayRng([n1])), y, mask, mu, var, cfg).item()
         aux = elbo_loss(sample_reparam(amu, avar, ReplayRng([n2])), y, mask, amu, avar, cfg).item()
         assert abs(got - (main + 0.4 * aux)) < 1e-12
 
     def test_stage_field_mismatch_rejected(self):
-        cfg = LossConfig()
-        with pytest.raises(ValueError, match="aux edge probability"):
-            stage_losses(EdgeDistribution(None, None), np.zeros((2, 2)),
-                         np.ones((2, 2)), cfg, "global")
-        with pytest.raises(ValueError, match="auxiliary outputs"):
-            stage_losses(
-                EdgeDistribution(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.ones((1, 1, 2, 2)))),
-                np.zeros((2, 2)), np.ones((2, 2)), cfg, "fine",
-                rng=np.random.default_rng(0),
-            )
+        main = EdgeDistribution(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.ones((1, 1, 2, 2))))
+        y, mask = np.zeros((2, 2)), np.ones((2, 2))
+        with pytest.raises(ValueError, match="auxiliary distribution"):
+            stage_losses([main], y, mask, LossConfig(), "fine", rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="needs an rng"):
+            stage_losses([main, main], y, mask, LossConfig(), "fine")
+        # without the auxiliary term the main distribution alone suffices
+        stage_losses([main], y, mask, LossConfig(alpha2=0.0), "fine",
+                     rng=np.random.default_rng(0))
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError, match="unknown stage"):
-            stage_losses(EdgeDistribution(None, None), np.zeros((2, 2)),
+            stage_losses(Tensor(np.full((1, 1, 2, 2), 0.5)), np.zeros((2, 2)),
                          np.ones((2, 2)), LossConfig(), "warmup")
 
 

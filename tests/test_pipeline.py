@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -278,6 +279,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="meta.step"):
             load_checkpoint(path)
 
+    def test_demo_model_state_pinned(self):
+        # names, shapes and initial values of the README demo model, in name
+        # order: checkpoints written by earlier versions load only while this
+        # digest holds
+        model = EdgeDetector(ModelConfig(embed_dim=16, depths=(1, 1, 1), state_dim=4,
+                                         decoder_ch=16, head_blocks=1))
+        digest = hashlib.sha256()
+        for name, arr in sorted(model.state_arrays().items()):
+            digest.update(name.encode() + str(arr.shape).encode() + arr.tobytes())
+        assert digest.hexdigest() == (
+            "4a3dc413146fd595f084f43bb0f1e3fcc21f0470058c1e5f43b9b58ea0e1d59d")
+
     def test_model_state_roundtrip_through_file(self, tmp_path, corpus):
         cfg = tiny_train_cfg(steps=2)
         model = EdgeDetector(cfg.model)
@@ -398,6 +411,25 @@ model.seed=3
         path = tmp_path / "c.cfg"
         path.write_text("max_steps=soon\n")
         with pytest.raises(ValueError, match="bad value"):
+            parse_config(path)
+
+    # each was accepted before: save_every=-1 saved at every step, a negative
+    # batch size fell back to the stage default, and mixed_threshold=0 made
+    # every pixel of an all-zero label positive
+    @pytest.mark.parametrize("line, match", [
+        ("save_every=-1", "save_every"),
+        ("batch_size=-2", "batch_size"),
+        ("max_steps=-5", "max_steps"),
+        ("weight_decay=-0.001", "weight_decay"),
+        ("weight_decay=nan", "weight_decay"),
+        ("mixed_threshold=0", "mixed_threshold"),
+        ("mixed_threshold=1.5", "mixed_threshold"),
+        ("lr=nan", "learning rate"),
+    ])
+    def test_out_of_range_number_rejected(self, tmp_path, line, match):
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=match):
             parse_config(path)
 
 
