@@ -182,10 +182,10 @@ class LayerNorm(Module):
 class Norm2d(Module):
     """Per-channel batch normalization with running statistics.
 
-    Training batches of size 1 fall back to per-channel group normalization
-    (statistics over H,W of the single item); evaluation always uses the
-    running statistics, so inference is batch-size independent, in one op
-    computed in place with the bits of ``((x - mu) * inv) * gamma + beta``.
+    Training batches of size 1 fall back to per-item, per-channel (instance)
+    statistics over H,W; evaluation always uses the running statistics, so
+    inference is batch-size independent. One op in every mode, computed in
+    place with the bits of ``((x - mu) * inv) * gamma + beta``.
     """
 
     eps = 1e-5
@@ -199,41 +199,41 @@ class Norm2d(Module):
         self.register_buffer("running_var", np.ones(channels))
 
     def __call__(self, x):
-        B = x.shape[0]
+        x, dt = T.as_tensor(x), T.default_dtype()
         c_shape = (1, x.shape[1], 1, 1)
-        if not self.training:
-            return self._eval(T.as_tensor(x), c_shape)
-        axes = (0, 2, 3) if B > 1 else (2, 3)
-        mu = T.tmean(x, axis=axes, keepdims=True)
-        xc = T.sub(x, mu)
-        var = T.tmean(T.mul(xc, xc), axis=axes, keepdims=True)
-        if B > 1:
-            m = self.momentum
-            self.set_buffer(
-                "running_mean",
-                (1 - m) * self.buffer("running_mean") + m * mu.data.reshape(-1),
-            )
-            self.set_buffer(
-                "running_var",
-                (1 - m) * self.buffer("running_var") + m * var.data.reshape(-1),
-            )
-        inv = T.pow_const(T.add(var, self.eps), -0.5)
-        out = T.mul(T.mul(xc, inv), T.reshape(self.gamma, c_shape))
-        return T.add(out, T.reshape(self.beta, c_shape))
-
-    def _eval(self, x, c_shape):
-        mu = Tensor(self.buffer("running_mean").reshape(c_shape)).data
-        var = Tensor(self.buffer("running_var").reshape(c_shape)).data
-        inv = (var + np.asarray(self.eps, dtype=T.default_dtype())) ** -0.5
+        batch = self.training
+        if batch:
+            axes = (0, 2, 3) if x.shape[0] > 1 else (2, 3)
+            c = np.asarray(1.0 / math.prod(x.shape[a] for a in axes), dtype=dt)
+            mu = x.data.sum(axis=axes, keepdims=True) * c
+            xc = x.data - mu
+            var = (xc * xc).sum(axis=axes, keepdims=True) * c
+            if x.shape[0] > 1:
+                m = self.momentum
+                self.set_buffer("running_mean", (1 - m) * self.buffer("running_mean") + m * mu.reshape(-1))
+                self.set_buffer("running_var", (1 - m) * self.buffer("running_var") + m * var.reshape(-1))
+        else:
+            mu = np.asarray(self.buffer("running_mean"), dtype=dt).reshape(c_shape)
+            var = np.asarray(self.buffer("running_var"), dtype=dt).reshape(c_shape)
+            xc = x.data - mu
+        ve = var + np.asarray(self.eps, dtype=dt)
+        inv = ve**-0.5
         gamma, beta = self.gamma.data.reshape(c_shape), self.beta.data.reshape(c_shape)
-        out = x.data - mu
-        out *= inv
-        xhat = out.copy() if T.grad_enabled() and self.gamma.requires_grad else None
+        keep = T.grad_enabled() and (x.requires_grad or self.gamma.requires_grad)
+        out = xc * inv if keep else np.multiply(xc, inv, out=xc)
         out *= gamma
         out += beta
 
         def vjp(g):
-            gx = (g * gamma) * inv if x.requires_grad else None
+            ggam = g * gamma
+            gx = ggam * inv if x.requires_grad else None
+            if gx is not None and batch:
+                # the two xc paths of the variance, then the mean's path
+                s = ((T._unbroadcast(ggam * xc, c_shape) * -0.5) * ve**-1.5 * c) * xc
+                gx += s
+                gx += s
+                gx += -T._unbroadcast(gx, c_shape) * c
+            xhat = xc * inv if self.gamma.requires_grad else None
             gg = None if xhat is None else T._unbroadcast(g * xhat, c_shape).reshape(-1)
             gb = T._unbroadcast(g, c_shape).reshape(-1) if self.beta.requires_grad else None
             return gx, gg, gb

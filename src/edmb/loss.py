@@ -29,10 +29,11 @@ class LossConfig:
     literal_weights: bool = False
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.varphi < 0 or self.alpha2 < 0:
-            raise ValueError("varphi and alpha2 must be non-negative")
+        if not self.lam > 0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
+        for name in ("varphi", "alpha2"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0 < self.eps <= 1e-3:
             raise ValueError("eps must lie in (0, 1e-3]")
 

@@ -31,6 +31,11 @@ class ModelConfig:
             raise ValueError("depths must list three stages")
         if not 1 <= self.window_keep <= 4:
             raise ValueError("window_keep must lie in [1, 4]")
+        for name in ("embed_dim", "state_dim", "patch_size", "decoder_ch", "highres_ch"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.head_blocks >= 0:
+            raise ValueError(f"head_blocks must be non-negative, got {self.head_blocks}")
 
 
 class EdgeDetector(nn.Module):

@@ -133,7 +133,7 @@ def grad_suite(eps=1e-4, tol=1e-4, max_coords=6):
         add("norm2d.batch", lambda: dc.tsum(dc.mul(rb, dc.sigmoid(bn(xb)))), [xb, bn.gamma, bn.beta])
         x1 = _rand(rng, (1, 3, 4, 4))
         r1 = _rand(rng, (1, 3, 4, 4), requires_grad=False)
-        add("norm2d.group_fallback", lambda: dc.tsum(dc.mul(r1, dc.sigmoid(bn(x1)))), [x1, bn.gamma, bn.beta])
+        add("norm2d.instance_fallback", lambda: dc.tsum(dc.mul(r1, dc.sigmoid(bn(x1)))), [x1, bn.gamma, bn.beta])
 
         # scan family
         p = ssm.SSMParams(4, 3, rng)

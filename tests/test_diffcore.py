@@ -282,10 +282,49 @@ class TestExactKernels:
         assert out.op == "norm2d"
         assert np.array_equal(bits(out.data), bits(ref.data))
 
-    def test_eval_norm_gradients_finite_difference(self, rng, f64):
-        bn = self._eval_norm(rng, 3)
-        x = dc.randn(rng, (2, 3, 4, 4), requires_grad=True)
-        r = dc.randn(rng, (2, 3, 4, 4))
+    @staticmethod
+    def _composite_norm(bn, x):
+        """Training-mode Norm2d as the chain of graph ops it once was: the
+        reference for the bits of the fused op's output, buffers and
+        gradients."""
+        B = x.shape[0]
+        c_shape = (1, x.shape[1], 1, 1)
+        axes = (0, 2, 3) if B > 1 else (2, 3)
+        mu = dc.tmean(x, axis=axes, keepdims=True)
+        xc = dc.sub(x, mu)
+        var = dc.tmean(dc.mul(xc, xc), axis=axes, keepdims=True)
+        if B > 1:
+            m = bn.momentum
+            bn.set_buffer("running_mean", (1 - m) * bn.buffer("running_mean") + m * mu.data.reshape(-1))
+            bn.set_buffer("running_var", (1 - m) * bn.buffer("running_var") + m * var.data.reshape(-1))
+        inv = dc.pow_const(dc.add(var, bn.eps), -0.5)
+        out = dc.mul(dc.mul(xc, inv), dc.reshape(bn.gamma, c_shape))
+        return dc.add(out, dc.reshape(bn.beta, c_shape))
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_train_norm_matches_composite_bitwise(self, rng, dtype, B):
+        with dc.precision(dtype):
+            x = dc.randn(rng, (B, 4, 5, 6)).data
+            g = dc.randn(rng, (B, 4, 5, 6))
+            runs = []
+            for norm in (lambda bn, t: bn(t), self._composite_norm):
+                bn = self._eval_norm(np.random.default_rng(1), 4).train()
+                xt = Tensor(x, requires_grad=True)
+                out = norm(bn, xt)
+                dc.backward(dc.tsum(dc.mul(out, g)))
+                runs.append([out.data, bn.buffer("running_mean"), bn.buffer("running_var"),
+                             xt.grad, bn.gamma.grad, bn.beta.grad])
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_norm_gradients_finite_difference(self, rng, f64, mode, B):
+        bn = self._eval_norm(rng, 3).train(mode == "train")
+        x = dc.randn(rng, (B, 3, 4, 4), requires_grad=True)
+        r = dc.randn(rng, (B, 3, 4, 4))
 
         def f():
             return dc.tsum(dc.mul(bn(x), r))
@@ -563,6 +602,14 @@ class TestNorm2d:
         y1 = bn(x).data
         y2 = bn(Tensor(x.data.copy())).data
         np.testing.assert_array_equal(y1, y2)
+
+    def test_train_call_records_one_node(self, rng):
+        bn = nn.Norm2d(3)
+        x = dc.randn(rng, (2, 3, 4, 4), requires_grad=True)
+        out = bn(x)
+        assert [n for n in dc.topo_order(out) if n.op != "leaf"] == [out]
+        assert out.op == "norm2d"
+        assert out._parents == (x, bn.gamma, bn.beta)
 
     def test_batch1_group_fallback_is_per_sample(self, rng):
         bn = nn.Norm2d(2)

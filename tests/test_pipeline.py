@@ -414,8 +414,9 @@ model.seed=3
             parse_config(path)
 
     # each was accepted before: save_every=-1 saved at every step, a negative
-    # batch size fell back to the stage default, and mixed_threshold=0 made
-    # every pixel of an all-zero label positive
+    # batch size fell back to the stage default, mixed_threshold=0 made
+    # every pixel of an all-zero label positive, loss.alpha2=nan silently
+    # dropped the auxiliary ELBO, and a zero width ended in ZeroDivisionError
     @pytest.mark.parametrize("line, match", [
         ("save_every=-1", "save_every"),
         ("batch_size=-2", "batch_size"),
@@ -425,6 +426,15 @@ model.seed=3
         ("mixed_threshold=0", "mixed_threshold"),
         ("mixed_threshold=1.5", "mixed_threshold"),
         ("lr=nan", "learning rate"),
+        ("loss.lambda=nan", "lam"),
+        ("loss.varphi=nan", "varphi"),
+        ("loss.alpha2=nan", "alpha2"),
+        ("model.embed_dim=0", "embed_dim"),
+        ("model.state_dim=0", "state_dim"),
+        ("model.patch_size=0", "patch_size"),
+        ("model.decoder_ch=0", "decoder_ch"),
+        ("model.highres_ch=0", "highres_ch"),
+        ("model.head_blocks=-1", "head_blocks"),
     ])
     def test_out_of_range_number_rejected(self, tmp_path, line, match):
         path = tmp_path / "c.cfg"
