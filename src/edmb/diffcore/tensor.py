@@ -741,6 +741,22 @@ def bilinear_resize_raw(x, out_h, out_w):
     return np.matmul(np.matmul(Ay, x.astype(dt, copy=False)), Ax.T)
 
 
+def bilinear_at(a, yy, xx):
+    """Bilinear samples of the (H,W) array ``a`` at the float coordinates
+    (``yy``, ``xx``), which broadcast together. Coordinates are clamped to
+    the pixel-center range [0, H-1] x [0, W-1], so a point past the border
+    takes the edge value; shared by NMS and data aug."""
+    H, W = a.shape
+    y0 = np.clip(np.floor(yy).astype(int), 0, H - 1)
+    x0 = np.clip(np.floor(xx).astype(int), 0, W - 1)
+    y1 = np.clip(y0 + 1, 0, H - 1)
+    x1 = np.clip(x0 + 1, 0, W - 1)
+    wy = np.clip(yy, 0, H - 1) - y0
+    wx = np.clip(xx, 0, W - 1) - x0
+    return ((1 - wy) * (1 - wx) * a[y0, x0] + (1 - wy) * wx * a[y0, x1]
+            + wy * (1 - wx) * a[y1, x0] + wy * wx * a[y1, x1])
+
+
 def bilinear_resize(x, out_h, out_w):
     """Differentiable bilinear resize of (...,H,W) to (...,out_h,out_w)."""
     x = as_tensor(x)

@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 
 from . import diffcore as dc
-from .diffcore.tensor import Tensor
+from .diffcore.tensor import Tensor, bilinear_at
 
 
 def worker_count():
@@ -58,18 +58,6 @@ def _smooth5(a):
     return convolve1d(convolve1d(a, k, axis=1, mode="nearest"), k, axis=0, mode="nearest")
 
 
-def _bilinear_at(a, yy, xx):
-    H, W = a.shape
-    y0 = np.clip(np.floor(yy).astype(int), 0, H - 1)
-    x0 = np.clip(np.floor(xx).astype(int), 0, W - 1)
-    y1 = np.clip(y0 + 1, 0, H - 1)
-    x1 = np.clip(x0 + 1, 0, W - 1)
-    wy = np.clip(yy, 0, H - 1) - y0
-    wx = np.clip(xx, 0, W - 1) - x0
-    return ((1 - wy) * (1 - wx) * a[y0, x0] + (1 - wy) * wx * a[y0, x1]
-            + wy * (1 - wx) * a[y1, x0] + wy * wx * a[y1, x1])
-
-
 def nms_thin(prob):
     """Suppress pixels that are not local maxima across the edge.
 
@@ -91,8 +79,8 @@ def nms_thin(prob):
     uy = np.where(norm > 1e-12, gy / np.maximum(norm, 1e-12), 0.0)
     H, W = E.shape
     ii, jj = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
-    ahead = _bilinear_at(E, ii + uy, jj + ux)
-    behind = _bilinear_at(E, ii - uy, jj - ux)
+    ahead = bilinear_at(E, ii + uy, jj + ux)
+    behind = bilinear_at(E, ii - uy, jj - ux)
     keep = (E * 1.01 >= ahead) & (E * 1.01 >= behind)
     out = E.copy()
     out[~keep] = 0.0

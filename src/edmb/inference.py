@@ -8,6 +8,7 @@ the multi-granularity edge family.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -49,6 +50,8 @@ def predict_distribution(model, image) -> EdgeDistribution:
 
 def sample_granularity(dist: EdgeDistribution, gamma):
     """Edge probability map sigmoid(mu + gamma * var) as a numpy array."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     mu = dist.mu.data if isinstance(dist.mu, Tensor) else np.asarray(dist.mu)
     var = dist.var.data if isinstance(dist.var, Tensor) else np.asarray(dist.var)
     logits = mu + gamma * var if gamma != 0.0 else mu
@@ -79,4 +82,6 @@ def parse_gamma_range(text):
     start, step_, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("gamma range count must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(step_)):
+        raise ValueError(f"gamma range start and step must be finite, got {text!r}")
     return [start + i * step_ for i in range(count)]

@@ -27,8 +27,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.depths) != 3:
-            raise ValueError("depths must list three stages")
+        if len(self.depths) != 3 or not all(d >= 0 for d in self.depths):
+            raise ValueError(f"depths must list three stages, each >= 0, got {self.depths}")
         if not 1 <= self.window_keep <= 4:
             raise ValueError("window_keep must lie in [1, 4]")
         for name in ("embed_dim", "state_dim", "patch_size", "decoder_ch", "highres_ch"):
@@ -36,6 +36,11 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.head_blocks >= 0:
             raise ValueError(f"head_blocks must be non-negative, got {self.head_blocks}")
+        # the fine encoder's half-size windows need at least one patch each
+        hw = self.base_hw
+        if not (isinstance(hw, (tuple, list)) and len(hw) == 2
+                and all(isinstance(v, int) and v >= 2 * self.patch_size for v in hw)):
+            raise ValueError(f"base_hw must be two ints, each >= 2 * patch_size, got {hw!r}")
 
 
 class EdgeDetector(nn.Module):

@@ -25,7 +25,7 @@ from . import diffcore as dc
 from . import netpbm
 from .decoder import EdgeDistribution
 from .diffcore.io import FormatError, read_tensor, write_tensor
-from .diffcore.tensor import Tensor, bilinear_resize_raw
+from .diffcore.tensor import Tensor, bilinear_at, bilinear_resize_raw
 from .loss import LossConfig, stage_losses
 from .model import EdgeDetector, ModelConfig
 
@@ -47,7 +47,6 @@ class DatasetSample:
     labels: list                   # list of (H,W) float arrays in {0,1}
     valid: np.ndarray              # (H,W) bool; False where rotation filled
     id: str = ""
-    transform: "TransformRecord" = None
 
     def __post_init__(self):
         h, w = self.image.shape[1:]
@@ -61,20 +60,12 @@ class DatasetSample:
 
 
 @dataclass
-class TransformRecord:
-    flip: str = "none"       # none | h | v | hv
-    angle: float = 0.0       # degrees, counter-clockwise
-    scale: float = 1.0
-    gamma: float = 1.0
-    out_size: tuple = None   # (H, W) final resize or None
-
-    def is_identity(self):
-        return (self.flip == "none" and self.angle == 0.0 and self.scale == 1.0
-                and self.gamma == 1.0 and self.out_size is None)
-
-
-@dataclass
 class Recipe:
+    """An augmentation product. One draw picks a flip (none | h | v | hv), an
+    angle (degrees, counter-clockwise), a scale and a gamma; ``out_size`` is
+    a fixed final (H, W) resize or None. A recipe with one value per axis is
+    a fixed transform."""
+
     flips: tuple = ("none",)
     angles: tuple = (0.0,)
     scales: tuple = (1.0,)
@@ -108,15 +99,13 @@ def _flip2d(a, code):
     raise ValueError(f"unknown flip code {code!r}")
 
 
-def _rotate2d(a, angle, fill):
+def _rotate2d(a, angle):
     """Rotate (H,W) counter-clockwise about the image center, same canvas.
 
     Multiples of 90 degrees on a square canvas are exact permutations;
-    everything else is bilinear with out-of-canvas pixels set to ``fill``.
+    everything else is bilinear with out-of-canvas pixels set to 0.
     """
     angle = angle % 360.0
-    if angle == 0.0:
-        return a.copy()
     H, W = a.shape
     if angle in (90.0, 180.0, 270.0) and (H == W or angle == 180.0):
         return np.rot90(a, k=int(angle // 90)).copy()
@@ -127,73 +116,47 @@ def _rotate2d(a, angle, fill):
     dy, dx = ii - cy, jj - cx
     src_y = cy + math.cos(th) * dy - math.sin(th) * dx
     src_x = cx + math.sin(th) * dy + math.cos(th) * dx
-    y0 = np.floor(src_y).astype(int)
-    x0 = np.floor(src_x).astype(int)
-    wy = src_y - y0
-    wx = src_x - x0
-    out = np.full((H, W), float(fill))
     inside = (src_y >= -0.5) & (src_y <= H - 0.5) & (src_x >= -0.5) & (src_x <= W - 0.5)
-    y0c, x0c = np.clip(y0, 0, H - 1), np.clip(x0, 0, W - 1)
-    y1c, x1c = np.clip(y0 + 1, 0, H - 1), np.clip(x0 + 1, 0, W - 1)
-    val = ((1 - wy) * (1 - wx) * a[y0c, x0c] + (1 - wy) * wx * a[y0c, x1c]
-           + wy * (1 - wx) * a[y1c, x0c] + wy * wx * a[y1c, x1c])
-    out[inside] = val[inside]
-    return out
-
-
-def apply_geometry(a, rec: TransformRecord, fill=0.0):
-    """Apply the geometric part (scale, rotate, flip, resize) to one plane."""
-    out = a.astype(np.float64, copy=True)
-    if rec.scale != 1.0:
-        H, W = out.shape
-        out = bilinear_resize_raw(out, max(1, round(H * rec.scale)), max(1, round(W * rec.scale)))
-    if rec.angle % 360.0 != 0.0:
-        out = _rotate2d(out, rec.angle, fill)
-    out = _flip2d(out, rec.flip)
-    if rec.out_size is not None and out.shape != tuple(rec.out_size):
-        out = bilinear_resize_raw(out, rec.out_size[0], rec.out_size[1])
-    return np.ascontiguousarray(out)
-
-
-def draw_transform(recipe: Recipe, rng) -> TransformRecord:
-    return TransformRecord(
-        flip=recipe.flips[rng.integers(len(recipe.flips))],
-        angle=float(recipe.angles[rng.integers(len(recipe.angles))]),
-        scale=float(recipe.scales[rng.integers(len(recipe.scales))]),
-        gamma=float(recipe.gammas[rng.integers(len(recipe.gammas))]),
-        out_size=recipe.out_size,
-    )
-
-
-def apply_transform(sample: DatasetSample, rec: TransformRecord) -> DatasetSample:
-    if rec.is_identity():
-        out = replace(sample)
-        out.transform = rec
-        return out
-    img = np.stack([apply_geometry(c, rec, fill=0.0) for c in sample.image])
-    if rec.gamma != 1.0:
-        img = np.clip(img, 0.0, 1.0) ** rec.gamma
-    labels = []
-    for lab in sample.labels:
-        moved = apply_geometry(lab, rec, fill=0.0)
-        labels.append((moved >= 0.5).astype(np.float64))
-    valid = apply_geometry(sample.valid.astype(np.float64), rec, fill=0.0) >= 0.999
-    return DatasetSample(
-        image=img.astype(np.float32),
-        labels=labels,
-        valid=valid,
-        id=sample.id,
-        transform=rec,
-    )
+    return np.where(inside, bilinear_at(a, src_y, src_x), 0.0)
 
 
 def augment(sample: DatasetSample, recipe, rng) -> DatasetSample:
-    """Draw one variant from the recipe's product and apply it consistently."""
+    """Draw one variant from the recipe (a ``Recipe`` or a ``RECIPES`` name)
+    and apply its geometry (scale, rotate, flip, then resize) to the image
+    and every annotator map. Rotation fill is marked invalid."""
     if isinstance(recipe, str):
         if recipe not in RECIPES:
             raise ValueError(f"unknown recipe {recipe!r}; options: {sorted(RECIPES)}")
         recipe = RECIPES[recipe]
-    return apply_transform(sample, draw_transform(recipe, rng))
+    flip = recipe.flips[rng.integers(len(recipe.flips))]
+    angle = float(recipe.angles[rng.integers(len(recipe.angles))])
+    scale = float(recipe.scales[rng.integers(len(recipe.scales))])
+    gamma = float(recipe.gammas[rng.integers(len(recipe.gammas))])
+    size = recipe.out_size
+    if (flip, angle, scale, gamma, size) == ("none", 0.0, 1.0, 1.0, None):
+        return replace(sample)
+
+    def geometry(a):
+        out = a.astype(np.float64, copy=True)
+        if scale != 1.0:
+            H, W = out.shape
+            out = bilinear_resize_raw(out, max(1, round(H * scale)), max(1, round(W * scale)))
+        if angle % 360.0 != 0.0:
+            out = _rotate2d(out, angle)
+        out = _flip2d(out, flip)
+        if size is not None and out.shape != tuple(size):
+            out = bilinear_resize_raw(out, size[0], size[1])
+        return np.ascontiguousarray(out)
+
+    img = np.stack([geometry(c) for c in sample.image])
+    if gamma != 1.0:
+        img = np.clip(img, 0.0, 1.0) ** gamma
+    return DatasetSample(
+        image=img.astype(np.float32),
+        labels=[(geometry(lab) >= 0.5).astype(np.float64) for lab in sample.labels],
+        valid=geometry(sample.valid.astype(np.float64)) >= 0.999,
+        id=sample.id,
+    )
 
 
 def select_label(labels, mode, rng, valid=None, rho=0.5):

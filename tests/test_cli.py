@@ -92,6 +92,19 @@ class TestInferSweep:
                      "--out-dir", str(sweep_dir)]) == 0
         assert len(list(sweep_dir.glob("*.pgm"))) == 11
 
+    def test_non_finite_gamma_exits_1_without_writing(self, workspace, tmp_path, capsys):
+        img = workspace["data"] / "images" / "shape00.ppm"
+        out = tmp_path / "nan.pgm"
+        assert main(["infer", "--ckpt", str(workspace["ckpt"]), "--image", str(img),
+                     "--out", str(out), "--gamma", "nan"]) == 1
+        assert "gamma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        sweep_dir = tmp_path / "nan_sweep"
+        assert main(["sweep", "--ckpt", str(workspace["ckpt"]), "--image", str(img),
+                     "--out-dir", str(sweep_dir), "--gammas", "nan:1:3"]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not sweep_dir.exists()
+
 
 class TestEvalCommand:
     def test_ground_truth_scores_one(self, workspace, tmp_path, capsys):

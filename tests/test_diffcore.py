@@ -6,7 +6,7 @@ import pytest
 
 from edmb import diffcore as dc
 from edmb.diffcore import nn
-from edmb.diffcore.tensor import Tensor, _conv2d_dense_raw, _im2col
+from edmb.diffcore.tensor import Tensor, _conv2d_dense_raw, _im2col, bilinear_at
 
 
 def conv2d_loop(x, w, b, stride, pad):
@@ -413,6 +413,18 @@ class TestBilinear:
         want = bilinear_loop(x, 9, 11)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+
+    def test_point_sampler_clamps_to_edges(self):
+        a = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+        H, W = a.shape
+        rows, cols = np.arange(H, dtype=float), np.arange(W, dtype=float)
+        # half a pixel past the border a sample is the edge value, exactly
+        np.testing.assert_array_equal(bilinear_at(a, np.full(W, -0.5), cols), a[0])
+        np.testing.assert_array_equal(bilinear_at(a, np.full(W, H - 0.5), cols), a[-1])
+        np.testing.assert_array_equal(bilinear_at(a, rows, np.full(H, -0.5)), a[:, 0])
+        np.testing.assert_array_equal(bilinear_at(a, rows, np.full(H, W - 0.5)), a[:, -1])
+        # 0.75 * (2 + 4) / 2 + 0.25 * (16 + 32) / 2
+        assert bilinear_at(a, np.array([0.25]), np.array([1.5]))[0] == 8.25
 
 class TestBackward:
     def test_linear_map_gradient(self, rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestSampleGranularity:
         p2 = sample_granularity(dist, 5.0)
         np.testing.assert_array_equal(p1, p2)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, rng, gamma):
+        # nan gave a NaN map, and inf gave NaN wherever var == 0 (inf * 0)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            sample_granularity(random_dist(rng), gamma)
+
     def test_pixelwise_monotone_in_gamma(self, rng):
         for _ in range(20):
             dist = random_dist(rng)
@@ -138,3 +145,8 @@ class TestGammaRange:
             parse_gamma_range("1:2")
         with pytest.raises(ValueError, match="count"):
             parse_gamma_range("0:1:0")
+
+    @pytest.mark.parametrize("text", ["nan:1:3", "0:nan:3", "inf:0:2", "0:-inf:2"])
+    def test_non_finite_start_or_step_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_gamma_range(text)

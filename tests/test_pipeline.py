@@ -14,10 +14,9 @@ from edmb.pipeline import (
     Checkpoint,
     DatasetSample,
     RECIPES,
+    Recipe,
     TrainConfig,
     TrainingDiverged,
-    TransformRecord,
-    apply_transform,
     augment,
     load_checkpoint,
     load_dataset,
@@ -99,43 +98,73 @@ class TestLoadDataset:
 
 
 class TestAugment:
-    def test_identity_draw_unchanged(self, corpus):
-        rec = TransformRecord()
-        out = apply_transform(corpus[0], rec)
+    # a Recipe with one value per axis is a fixed transform
+
+    def test_identity_draw_unchanged(self, corpus, rng):
+        out = augment(corpus[0], Recipe(), rng)
         np.testing.assert_array_equal(out.image, corpus[0].image)
         np.testing.assert_array_equal(out.labels[0], corpus[0].labels[0])
 
-    def test_flip_involution(self, corpus):
-        rec = TransformRecord(flip="h")
-        once = apply_transform(corpus[0], rec)
-        twice = apply_transform(once, rec)
+    def test_flip_involution(self, corpus, rng):
+        flip = Recipe(flips=("h",))
+        once = augment(corpus[0], flip, rng)
+        twice = augment(once, flip, rng)
+        assert not np.array_equal(once.image, corpus[0].image)
         np.testing.assert_array_equal(twice.image, corpus[0].image)
         np.testing.assert_array_equal(twice.labels[0], corpus[0].labels[0])
 
-    def test_rot90_hand_permutation(self):
+    def test_rot90_hand_permutation(self, rng):
         img = np.arange(16, dtype=np.float32).reshape(1, 4, 4) / 16.0
         img = np.concatenate([img] * 3)
         lab = np.zeros((4, 4))
         lab[0, 1] = 1.0
         s = DatasetSample(img, [lab], np.ones((4, 4), bool), "m")
-        out = apply_transform(s, TransformRecord(angle=90.0))
-        # counter-clockwise: column j becomes row (W-1-j)
-        want = np.rot90(img[0])
-        np.testing.assert_allclose(out.image[0], want, atol=1e-7)
+        out = augment(s, Recipe(angles=(90.0,)), rng)
+        # counter-clockwise: column j becomes row (W-1-j), exactly
+        np.testing.assert_array_equal(out.image[0], np.rot90(img[0]))
         assert out.labels[0][2, 0] == 1.0  # (0,1) -> (4-1-1, 0)
+        assert out.labels[0].sum() == 1.0 and out.valid.all()
 
-    def test_rotation_fills_ignore(self, corpus):
-        out = apply_transform(corpus[0], TransformRecord(angle=30.0))
+    def test_rotation_fills_ignore(self, corpus, rng):
+        out = augment(corpus[0], Recipe(angles=(30.0,)), rng)
         assert not out.valid.all()
         assert out.valid[32, 32]  # center survives
+        assert not out.valid[0, 0]  # a corner comes from outside the canvas
 
     def test_label_consistency_invariant(self, corpus, rng):
+        # one geometry moves every annotator map: identical maps stay identical
+        s = corpus[0]
+        two = DatasetSample(s.image, [s.labels[0], s.labels[0].copy()], s.valid, "two")
+        for name in ("bsds", "biped"):
+            for _ in range(5):
+                out = augment(two, name, rng)
+                np.testing.assert_array_equal(out.labels[0], out.labels[1])
+
+    def test_same_seed_same_samples(self, corpus):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(5):
-            s = augment(corpus[0], "biped", rng)
-            rec = s.transform
-            replayed = apply_transform(corpus[0], rec)
-            np.testing.assert_array_equal(replayed.labels[0], s.labels[0])
-            np.testing.assert_array_equal(replayed.valid, s.valid)
+            sa, sb = augment(corpus[1], "biped", a), augment(corpus[1], "biped", b)
+            np.testing.assert_array_equal(sa.image, sb.image)
+            np.testing.assert_array_equal(sa.labels[0], sb.labels[0])
+            np.testing.assert_array_equal(sa.valid, sb.valid)
+
+    def test_named_recipe_outputs_pinned(self, corpus):
+        # image, labels and valid mask of six draws per recipe on a square
+        # one-annotator and a 48x64 two-annotator sample, plus the generator's
+        # end state: a change here changes every augmented training run
+        s = corpus[0]
+        wide = DatasetSample(s.image[:, :48], [s.labels[0][:48], corpus[1].labels[0][:48]],
+                             np.ones((48, 64), bool), "wide")
+        digest = hashlib.sha256()
+        for name in ("none", "flips", "bsds", "nyud", "biped"):
+            rng = np.random.default_rng(11)
+            for sample in (s, wide) * 3:
+                out = augment(sample, name, rng)
+                for a in (out.image, *out.labels, out.valid):
+                    digest.update(a.tobytes())
+            digest.update(repr(rng.bit_generator.state).encode())
+        assert digest.hexdigest() == (
+            "72ecf17d488e61056551a1c14a232f641e5d434f82e6f99d3a20bc0e4267d5df")
 
     def test_resize_recipe_output_size(self, corpus, rng):
         s = augment(corpus[0], "nyud", rng)
@@ -147,10 +176,11 @@ class TestAugment:
             s = augment(corpus[0], "bsds", rng)
             assert set(np.unique(s.labels[0])) <= {0.0, 1.0}
 
-    def test_gamma_changes_image_not_labels(self, corpus):
-        out = apply_transform(corpus[0], TransformRecord(gamma=0.7))
+    def test_gamma_changes_image_not_labels(self, corpus, rng):
+        out = augment(corpus[0], Recipe(gammas=(0.7,)), rng)
         assert not np.array_equal(out.image, corpus[0].image)
         np.testing.assert_array_equal(out.labels[0], corpus[0].labels[0])
+        assert out.valid.all()
 
     def test_unknown_recipe_rejected(self, corpus, rng):
         with pytest.raises(ValueError, match="unknown recipe"):
@@ -416,7 +446,9 @@ model.seed=3
     # each was accepted before: save_every=-1 saved at every step, a negative
     # batch size fell back to the stage default, mixed_threshold=0 made
     # every pixel of an all-zero label positive, loss.alpha2=nan silently
-    # dropped the auxiliary ELBO, and a zero width ended in ZeroDivisionError
+    # dropped the auxiliary ELBO, a zero width ended in ZeroDivisionError, a
+    # base_hw without one patch per fine window failed at the first forward
+    # with IndexError, and a negative depth built a stage with no blocks
     @pytest.mark.parametrize("line, match", [
         ("save_every=-1", "save_every"),
         ("batch_size=-2", "batch_size"),
@@ -435,6 +467,9 @@ model.seed=3
         ("model.decoder_ch=0", "decoder_ch"),
         ("model.highres_ch=0", "highres_ch"),
         ("model.head_blocks=-1", "head_blocks"),
+        ("model.base_hw=64", "base_hw"),
+        ("model.base_hw=4,4", "base_hw"),
+        ("model.depths=-1,1,1", "depths"),
     ])
     def test_out_of_range_number_rejected(self, tmp_path, line, match):
         path = tmp_path / "c.cfg"
