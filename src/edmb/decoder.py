@@ -40,15 +40,15 @@ class MBConv(nn.Module):
         hidden = 4 * out_ch
         self.residual = in_ch == out_ch
         self.expand = nn.Conv2d(in_ch, hidden, 1, rng, bias=False)
-        self.norm1 = nn.Norm2d(hidden)
+        self.norm1 = nn.Norm2d(hidden, relu=True)
         self.depthwise = nn.Conv2d(hidden, hidden, 3, rng, groups=hidden, bias=False)
-        self.norm2 = nn.Norm2d(hidden)
+        self.norm2 = nn.Norm2d(hidden, relu=True)
         self.project = nn.Conv2d(hidden, out_ch, 1, rng, bias=False)
         self.norm3 = nn.Norm2d(out_ch)
 
     def __call__(self, x):
-        y = dc.relu(self.norm1(self.expand(x)))
-        y = dc.relu(self.norm2(self.depthwise(y)))
+        y = self.norm1(self.expand(x))
+        y = self.norm2(self.depthwise(y))
         y = self.norm3(self.project(y))
         if self.residual:
             y = dc.add(y, x)
@@ -74,14 +74,20 @@ class CFF(nn.Module):
             raise ValueError(f"expected {len(self.fuses) + 1} levels, got {len(maps)}")
         current = maps[0]
         for fuse, finer in zip(self.fuses, maps[1:]):
-            up = dc.bilinear_upsample(current, finer.shape[2] // current.shape[2])
+            (h, w), (H, W) = current.shape[2:], finer.shape[2:]
+            if H % h or W % w or H // h != W // w:
+                raise ValueError(f"cff: level {H}x{W} is not one integer factor "
+                                 f"larger than {h}x{w} on both axes")
+            up = dc.bilinear_upsample(current, H // h)
             current = fuse(dc.concat([up, finer], axis=1))
         return current
 
 
 class SFT(nn.Module):
     """Spatial feature transform: scale and shift maps predicted from the
-    guide modulate the content, out = s * content + t."""
+    guide modulate the content, out = s * content + t. The first conv of
+    each branch reads the guide; ``guide_maps`` runs those convs, and the
+    module consumes their outputs."""
 
     def __init__(self, content_ch, guide_ch, rng):
         super().__init__()
@@ -91,15 +97,30 @@ class SFT(nn.Module):
         self.shift2 = nn.Conv2d(content_ch, content_ch, 3, rng)
         self.scale2.bias.data[:] = 1.0  # start close to identity modulation
 
-    def __call__(self, content, guide):
-        if content.shape[2:] != guide.shape[2:]:
+    def __call__(self, content, scale, shift):
+        """``scale`` and ``shift``: this module's pair from ``guide_maps``."""
+        if content.shape[2:] != scale.shape[2:]:
             raise ValueError(
-                f"sft: content {content.shape[2:]} and guide {guide.shape[2:]} "
+                f"sft: content {content.shape[2:]} and guide {scale.shape[2:]} "
                 f"spatial sizes differ"
             )
-        s = self.scale2(dc.relu(self.scale1(guide)))
-        t = self.shift2(dc.relu(self.shift1(guide)))
+        s = self.scale2(dc.relu(scale))
+        t = self.shift2(dc.relu(shift))
         return dc.add(dc.mul(s, content), t)
+
+
+def guide_maps(sfts, guide):
+    """``scale1(guide)`` and ``shift1(guide)`` of every SFT in ``sfts``, as
+    one (scale, shift) pair per module. All of them run as one conv, whose
+    weights and biases are the modules' own, concatenated at call time."""
+    convs = [conv for sft in sfts for conv in (sft.scale1, sft.shift1)]
+    pre = dc.conv2d(guide, dc.concat([c.weight for c in convs], axis=0),
+                    dc.concat([c.bias for c in convs], axis=0), 1, convs[0].padding)
+    maps, start = [], 0
+    for conv in convs:
+        maps.append(dc.narrow(pre, 1, start, conv.weight.shape[0]))
+        start += conv.weight.shape[0]
+    return list(zip(maps[::2], maps[1::2]))
 
 
 class Head(nn.Module):
@@ -151,8 +172,9 @@ class LGDDecoder(nn.Module):
         levels = self._levels(f_f, f_h)
         fm = self.cff_mean(levels)
         fv = self.cff_var(levels)
-        out = [EdgeDistribution(self.mean_head(self.sft_mean(fm, guide)),
-                                dc.softplus(self.var_head(self.sft_var(fv, guide))))]
+        mean_maps, var_maps = guide_maps([self.sft_mean, self.sft_var], guide)
+        out = [EdgeDistribution(self.mean_head(self.sft_mean(fm, *mean_maps)),
+                                dc.softplus(self.var_head(self.sft_var(fv, *var_maps))))]
         if include_aux:
             out.append(EdgeDistribution(self.aux_mean_head(fm),
                                         dc.softplus(self.aux_var_head(fv))))

@@ -180,19 +180,22 @@ class LayerNorm(Module):
 
 
 class Norm2d(Module):
-    """Per-channel batch normalization with running statistics.
+    """Per-channel batch normalization with running statistics, optionally
+    followed by a ReLU in the same op.
 
     Training batches of size 1 fall back to per-item, per-channel (instance)
     statistics over H,W; evaluation always uses the running statistics, so
-    inference is batch-size independent. One op in every mode, computed in
-    place with the bits of ``((x - mu) * inv) * gamma + beta``.
+    inference is batch-size independent. One op in every mode, with the bits
+    of ``((x - mu) * inv) * gamma + beta`` and, with ``relu``, of
+    ``T.relu`` applied to that.
     """
 
     eps = 1e-5
     momentum = 0.1
 
-    def __init__(self, channels):
+    def __init__(self, channels, relu=False):
         super().__init__()
+        self.relu = relu
         self.gamma = T.parameter(np.ones(channels))
         self.beta = T.parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
@@ -215,30 +218,70 @@ class Norm2d(Module):
         else:
             mu = np.asarray(self.buffer("running_mean"), dtype=dt).reshape(c_shape)
             var = np.asarray(self.buffer("running_var"), dtype=dt).reshape(c_shape)
-            xc = x.data - mu
+            xc = None
         ve = var + np.asarray(self.eps, dtype=dt)
         inv = ve**-0.5
         gamma, beta = self.gamma.data.reshape(c_shape), self.beta.data.reshape(c_shape)
+        relu = self.relu
         keep = T.grad_enabled() and (x.requires_grad or self.gamma.requires_grad)
-        out = xc * inv if keep else np.multiply(xc, inv, out=xc)
-        out *= gamma
-        out += beta
+        if keep and xc is None:
+            xc = x.data - mu
+        if xc is None:  # eval without gradient: subtract the mean per block
+            out = _norm_epilogue(x.data, mu, inv, gamma, beta, relu, np.empty_like(x.data))
+        else:  # xc is kept for the adjoint, or else overwritten
+            out = _norm_epilogue(xc, None, inv, gamma, beta, relu, np.empty_like(xc) if keep else xc)
 
         def vjp(g):
-            ggam = g * gamma
-            gx = ggam * inv if x.requires_grad else None
+            # one scratch buffer takes each full-size product in turn; every
+            # element is computed as in the plain expressions in the comments
+            buf = np.empty_like(g)
+            if relu:
+                np.greater(out, 0, out=buf)
+                g = g * buf  # g * (out > 0)
+            np.multiply(g, gamma, out=buf)  # ggam = g * gamma
+            gx = buf * inv if x.requires_grad else None
             if gx is not None and batch:
-                # the two xc paths of the variance, then the mean's path
-                s = ((T._unbroadcast(ggam * xc, c_shape) * -0.5) * ve**-1.5 * c) * xc
-                gx += s
-                gx += s
+                # the two xc paths of the variance, then the mean's path:
+                # s = ((sum(ggam * xc) * -0.5) * ve**-1.5 * c) * xc
+                buf *= xc
+                np.multiply((T._unbroadcast(buf, c_shape) * -0.5) * ve**-1.5 * c, xc, out=buf)
+                gx += buf
+                gx += buf
                 gx += -T._unbroadcast(gx, c_shape) * c
-            xhat = xc * inv if self.gamma.requires_grad else None
-            gg = None if xhat is None else T._unbroadcast(g * xhat, c_shape).reshape(-1)
+            gg = None
+            if self.gamma.requires_grad:
+                np.multiply(xc, inv, out=buf)  # xhat
+                buf *= g
+                gg = T._unbroadcast(buf, c_shape).reshape(-1)
             gb = T._unbroadcast(g, c_shape).reshape(-1) if self.beta.requires_grad else None
             return gx, gg, gb
 
         return T.make_op(out, (x, self.gamma, self.beta), vjp, "norm2d")
+
+
+def _norm_epilogue(src, mu, inv, gamma, beta, relu, out):
+    """out = ((src - mu) * inv) * gamma + beta, then ``T.relu``'s max(., 0)
+    and += 0 if ``relu``; ``mu`` None skips the subtraction. ``out`` may be
+    ``src``. Runs per block of ~64K elements, so each block stays in cache
+    through the whole chain; every element keeps the bits of the full-size
+    passes."""
+    B, C, H, W = src.shape
+    cb = max(1, (1 << 16) // (H * W))
+    for b in range(B):
+        for c0 in range(0, C, cb):
+            ch = slice(c0, c0 + cb)
+            o = out[b : b + 1, ch]
+            if mu is None:
+                np.multiply(src[b : b + 1, ch], inv[:, ch], out=o)
+            else:
+                np.subtract(src[b : b + 1, ch], mu[:, ch], out=o)
+                o *= inv[:, ch]
+            o *= gamma[:, ch]
+            o += beta[:, ch]
+            if relu:
+                np.fmax(o, 0, out=o)
+                o += 0
+    return out
 
 
 class ConvNormRelu(Module):
@@ -250,7 +293,7 @@ class ConvNormRelu(Module):
     def __init__(self, in_ch, out_ch, rng):
         super().__init__()
         self.conv = Conv2d(in_ch, out_ch, 3, rng, bias=False)
-        self.norm = Norm2d(out_ch)
+        self.norm = Norm2d(out_ch, relu=True)
 
     def __call__(self, x):
-        return T.relu(self.norm(self.conv(x)))
+        return self.norm(self.conv(x))

@@ -746,15 +746,30 @@ def bilinear_at(a, yy, xx):
     (``yy``, ``xx``), which broadcast together. Coordinates are clamped to
     the pixel-center range [0, H-1] x [0, W-1], so a point past the border
     takes the edge value; shared by NMS and data aug."""
-    H, W = a.shape
+    return bilinear_sampler(a.shape, yy, xx)(a)
+
+
+def bilinear_sampler(shape, yy, xx):
+    """``bilinear_at`` for many arrays of one (H,W) ``shape`` at the same
+    points: the clamped corners and fractions are computed once, and the
+    returned function gathers and blends one array with them, adding each
+    corner's term as soon as it is made."""
+    H, W = shape
     y0 = np.clip(np.floor(yy).astype(int), 0, H - 1)
     x0 = np.clip(np.floor(xx).astype(int), 0, W - 1)
     y1 = np.clip(y0 + 1, 0, H - 1)
     x1 = np.clip(x0 + 1, 0, W - 1)
     wy = np.clip(yy, 0, H - 1) - y0
     wx = np.clip(xx, 0, W - 1) - x0
-    return ((1 - wy) * (1 - wx) * a[y0, x0] + (1 - wy) * wx * a[y0, x1]
-            + wy * (1 - wx) * a[y1, x0] + wy * wx * a[y1, x1])
+
+    def sample(a):
+        out = (1 - wy) * (1 - wx) * a[y0, x0]
+        out += (1 - wy) * wx * a[y0, x1]
+        out += wy * (1 - wx) * a[y1, x0]
+        out += wy * wx * a[y1, x1]
+        return out
+
+    return sample
 
 
 def bilinear_resize(x, out_h, out_w):
@@ -773,10 +788,10 @@ def bilinear_resize(x, out_h, out_w):
 
 def bilinear_upsample(x, factor):
     """Integer-factor bilinear upsampling of (B,C,H,W)."""
-    if factor < 1:
-        raise ValueError(f"bilinear_upsample: factor must be >= 1, got {factor}")
+    if factor < 1 or factor != int(factor):
+        raise ValueError(f"bilinear_upsample: factor must be an integer >= 1, got {factor}")
     x = as_tensor(x)
-    if int(factor) == 1:
+    if factor == 1:
         return x
     H, W = x.shape[-2], x.shape[-1]
     return bilinear_resize(x, H * int(factor), W * int(factor))

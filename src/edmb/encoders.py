@@ -82,8 +82,9 @@ class FineEncoder(nn.Module):
 
     All four windows are always encoded (activations are complete); during
     training exactly ``window_keep`` randomly chosen windows run with
-    gradient recording, the rest run gradient-free. Dropping never changes
-    forward values, only which windows backpropagate.
+    gradient recording, the rest run gradient-free, stacked on the batch axis
+    in one pass of the network. Dropping never changes forward values, only
+    which windows backpropagate.
     """
 
     def __init__(self, cfg, rng):
@@ -104,13 +105,18 @@ class FineEncoder(nn.Module):
         else:
             kept = {0, 1, 2, 3}
 
-        per_window = [None] * 4
-        for i, win in enumerate(windows):
-            if i in kept:
-                per_window[i] = self.net(win)
-            else:
-                with dc.no_grad():
-                    per_window[i] = self.net(win)
+        # the windows that record no gradient run as one batch; each other
+        # window runs alone, so its gradients accumulate as they always have
+        if not dc.grad_enabled():
+            kept = set()
+        per_window = [self.net(win) if i in kept else None for i, win in enumerate(windows)]
+        dropped = [i for i in range(4) if i not in kept]
+        if dropped:
+            B = image.shape[0]
+            with dc.no_grad():
+                stacked = self.net(dc.concat([windows[i] for i in dropped], axis=0))
+                for k, i in enumerate(dropped):
+                    per_window[i] = [dc.narrow(m, 0, k * B, B) for m in stacked]
 
         return [window_reassemble([maps[lvl] for maps in per_window]) for lvl in range(3)]
 

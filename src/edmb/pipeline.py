@@ -25,7 +25,7 @@ from . import diffcore as dc
 from . import netpbm
 from .decoder import EdgeDistribution
 from .diffcore.io import FormatError, read_tensor, write_tensor
-from .diffcore.tensor import Tensor, bilinear_at, bilinear_resize_raw
+from .diffcore.tensor import Tensor, bilinear_resize_raw, bilinear_sampler
 from .loss import LossConfig, stage_losses
 from .model import EdgeDetector, ModelConfig
 
@@ -99,16 +99,17 @@ def _flip2d(a, code):
     raise ValueError(f"unknown flip code {code!r}")
 
 
-def _rotate2d(a, angle):
-    """Rotate (H,W) counter-clockwise about the image center, same canvas.
+def _rotation(shape, angle):
+    """The function that rotates an (H,W) array of ``shape`` counter-clockwise
+    about the image center, on the same canvas; its sample map is built once.
 
     Multiples of 90 degrees on a square canvas are exact permutations;
     everything else is bilinear with out-of-canvas pixels set to 0.
     """
     angle = angle % 360.0
-    H, W = a.shape
+    H, W = shape
     if angle in (90.0, 180.0, 270.0) and (H == W or angle == 180.0):
-        return np.rot90(a, k=int(angle // 90)).copy()
+        return lambda a: np.rot90(a, k=int(angle // 90)).copy()
     th = math.radians(angle)
     cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
     ii, jj = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
@@ -117,7 +118,8 @@ def _rotate2d(a, angle):
     src_y = cy + math.cos(th) * dy - math.sin(th) * dx
     src_x = cx + math.sin(th) * dy + math.cos(th) * dx
     inside = (src_y >= -0.5) & (src_y <= H - 0.5) & (src_x >= -0.5) & (src_x <= W - 0.5)
-    return np.where(inside, bilinear_at(a, src_y, src_x), 0.0)
+    sample = bilinear_sampler(shape, src_y, src_x)
+    return lambda a: np.where(inside, sample(a), 0.0)
 
 
 def augment(sample: DatasetSample, recipe, rng) -> DatasetSample:
@@ -136,13 +138,17 @@ def augment(sample: DatasetSample, recipe, rng) -> DatasetSample:
     if (flip, angle, scale, gamma, size) == ("none", 0.0, 1.0, 1.0, None):
         return replace(sample)
 
+    rotations = {}  # one sample map per plane shape of this draw
+
     def geometry(a):
         out = a.astype(np.float64, copy=True)
         if scale != 1.0:
             H, W = out.shape
             out = bilinear_resize_raw(out, max(1, round(H * scale)), max(1, round(W * scale)))
         if angle % 360.0 != 0.0:
-            out = _rotate2d(out, angle)
+            if out.shape not in rotations:
+                rotations[out.shape] = _rotation(out.shape, angle)
+            out = rotations[out.shape](out)
         out = _flip2d(out, flip)
         if size is not None and out.shape != tuple(size):
             out = bilinear_resize_raw(out, size[0], size[1])

@@ -86,39 +86,58 @@ class TokenSequence:
 # -- the scan primitive ---------------------------------------------------------
 
 
-def selective_scan_core(u, delta, a_diag, b_tok, c_tok):
+def selective_scan_core(*args):
     """Recurrence h_t = Abar_t h_{t-1} + Bbar_t x_t, y_t = C_t . h_t.
 
-    Shapes: u (B,M,D), delta (B,M), a_diag (N,), b_tok/c_tok (B,M,N).
-    Differentiable in every argument; the adjoint runs the reverse recurrence.
+    ``args`` is one or more groups ``u, delta, a_diag, b_tok, c_tok`` in a
+    row, each with the shapes u (B,M,D), delta (B,M), a_diag (N,), b_tok/c_tok
+    (B,M,N), the same for every group. The groups' recurrences run stacked
+    in one per-token loop, and each group's y is its own node, as if it had
+    been scanned alone; returns the list of them. Differentiable in every
+    argument; the adjoint runs the reverse recurrence.
     """
-    u, delta = dc.as_tensor(u), dc.as_tensor(delta)
-    a_diag, b_tok, c_tok = dc.as_tensor(a_diag), dc.as_tensor(b_tok), dc.as_tensor(c_tok)
-    B, M, D = u.shape
-    (N,) = a_diag.shape
-    if delta.shape != (B, M):
-        raise ValueError(f"selective_scan: delta shape {delta.shape} != {(B, M)}")
-    if b_tok.shape != (B, M, N) or c_tok.shape != (B, M, N):
-        raise ValueError("selective_scan: B/C token shapes must be (B,M,N)")
-    if np.any(delta.data <= 0):
-        raise ValueError("selective_scan: delta must be positive for every token")
+    if not args or len(args) % 5:
+        raise ValueError("selective_scan: arguments come in groups of "
+                         "(u, delta, a_diag, b_tok, c_tok)")
+    groups = [[dc.as_tensor(v) for v in args[i : i + 5]] for i in range(0, len(args), 5)]
+    B, M, D = groups[0][0].shape
+    (N,) = groups[0][2].shape
+    for u, delta, a_diag, b_tok, c_tok in groups:
+        if u.shape != (B, M, D) or a_diag.shape != (N,):
+            raise ValueError("selective_scan: every group needs the same u and a_diag shapes")
+        if delta.shape != (B, M):
+            raise ValueError(f"selective_scan: delta shape {delta.shape} != {(B, M)}")
+        if b_tok.shape != (B, M, N) or c_tok.shape != (B, M, N):
+            raise ValueError("selective_scan: B/C token shapes must be (B,M,N)")
+        if np.any(delta.data <= 0):
+            raise ValueError("selective_scan: delta must be positive for every token")
 
-    z = delta.data[..., None] * a_diag.data  # (B,M,N)
-    abar = np.exp(z)
-    if not np.all(np.isfinite(abar)):
-        raise FloatingPointError("selective_scan: exp(delta*A) overflowed")
-    phi = _phi(z)
-    bbar = delta.data[..., None] * phi * b_tok.data  # (B,M,N)
-
-    # every state starts as Bbar_t x_t and gains Abar_t h_{t-1} in place;
-    # the += 0.0 at t = 0 keeps the +0.0 that Abar_0 * 0 + ... gave
-    hs = np.empty((B, M, N, D), dtype=u.data.dtype)
-    np.multiply(bbar[..., None], u.data[:, :, None, :], out=hs)
-    hs[:, 0] += 0.0
-    tmp = np.empty((B, N, D), dtype=hs.dtype)
+    # each group fills its slice of one stacked Abar and one stacked state
+    # array; every state starts as Bbar_t x_t and gains Abar_t h_{t-1} in
+    # place, and the += 0.0 at t = 0 keeps the +0.0 that Abar_0 * 0 + ... gave
+    zs = [delta.data[..., None] * a_diag.data for _, delta, a_diag, _, _ in groups]  # (B,M,N)
+    abar = np.empty((len(groups),) + zs[0].shape, dtype=zs[0].dtype)
+    hs = np.empty((len(groups), B, M, N, D), dtype=groups[0][0].data.dtype)
+    nodes = []
+    for (u, delta, a_diag, b_tok, c_tok), z, ab, h in zip(groups, zs, abar, hs):
+        np.exp(z, out=ab)
+        if not np.all(np.isfinite(ab)):
+            raise FloatingPointError("selective_scan: exp(delta*A) overflowed")
+        phi = _phi(z)
+        bbar = delta.data[..., None] * phi * b_tok.data  # (B,M,N)
+        np.multiply(bbar[..., None], u.data[:, :, None, :], out=h)
+        nodes.append((u, delta, a_diag, b_tok, c_tok, z, phi, bbar, ab, h))
+    hs[:, :, 0] += 0.0
+    tmp = np.empty((len(groups), B, N, D), dtype=hs.dtype)
     for t in range(1, M):
-        np.multiply(abar[:, t, :, None], hs[:, t - 1], out=tmp)
-        hs[:, t] += tmp
+        np.multiply(abar[:, :, t, :, None], hs[:, :, t - 1], out=tmp)
+        hs[:, :, t] += tmp
+    return [_scan_node(*node) for node in nodes]
+
+
+def _scan_node(u, delta, a_diag, b_tok, c_tok, z, phi, bbar, abar, hs):
+    """The y node of one scan group, given its recurrence states ``hs``."""
+    B, M, N, D = hs.shape
     y = np.einsum("bmn,bmnd->bmd", c_tok.data, hs)
     _count_macs(3 * B * M * N * D)
 
@@ -182,19 +201,29 @@ def selective_scan(seq, params, direction="forward"):
     The backward direction reverses the token order, scans, and reverses the
     output, so it equals reverse . forward-scan . reverse by construction.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    x = seq.tokens
-    delta, b_tok, c_tok = params.per_token(x)
-    if direction == "backward":
-        x = dc.flip(x, 1)
-        delta = dc.flip(delta, 1)
-        b_tok = dc.flip(b_tok, 1)
-        c_tok = dc.flip(c_tok, 1)
-    y = selective_scan_core(x, delta, params.a_diag(), b_tok, c_tok)
-    if direction == "backward":
-        y = dc.flip(y, 1)
-    return TokenSequence(y, seq.grid)
+    (y,) = selective_scans(seq, [(params, direction)])
+    return y
+
+
+def selective_scans(seq, scans):
+    """One selective scan of ``seq`` per ``(params, direction)`` pair, as
+    ``selective_scan`` runs it, with all their recurrences in one token loop;
+    returns one TokenSequence per pair."""
+    args = []
+    for params, direction in scans:
+        if direction not in ("forward", "backward"):
+            raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+        x = seq.tokens
+        delta, b_tok, c_tok = params.per_token(x)
+        if direction == "backward":
+            x = dc.flip(x, 1)
+            delta = dc.flip(delta, 1)
+            b_tok = dc.flip(b_tok, 1)
+            c_tok = dc.flip(c_tok, 1)
+        args += [x, delta, params.a_diag(), b_tok, c_tok]
+    ys = selective_scan_core(*args)
+    return [TokenSequence(dc.flip(y, 1) if direction == "backward" else y, seq.grid)
+            for y, (_, direction) in zip(ys, scans)]
 
 
 def scan_kernel_oracle(seq, params):
@@ -240,8 +269,7 @@ class VimBlock(nn.Module):
 
     def __call__(self, seq):
         normed = TokenSequence(self.norm(seq.tokens), seq.grid)
-        yf = selective_scan(normed, self.fwd, "forward")
-        yb = selective_scan(normed, self.bwd, "backward")
+        yf, yb = selective_scans(normed, [(self.fwd, "forward"), (self.bwd, "backward")])
         mixed = self.proj(dc.add(yf.tokens, yb.tokens))
         return TokenSequence(dc.add(mixed, seq.tokens), seq.grid)
 

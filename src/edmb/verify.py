@@ -16,7 +16,7 @@ import numpy as np
 from . import diffcore as dc
 from . import eval as evalkit
 from . import ssm
-from .decoder import CFF, Head, MBConv, SFT
+from .decoder import CFF, Head, MBConv, SFT, guide_maps
 from .diffcore import nn
 from .diffcore.fdcheck import finite_diff_check
 from .diffcore.tensor import Tensor
@@ -168,7 +168,7 @@ def grad_suite(eps=1e-4, tol=1e-4, max_coords=6):
             [xb, mb.expand.weight, mb.depthwise.weight, mb.project.weight], coords=4)
         sft = SFT(3, 3, rng)
         guide = _rand(rng, (2, 3, 4, 4))
-        add("sft", lambda: dc.tsum(dc.mul(rmb, sft(xb, guide))),
+        add("sft", lambda: dc.tsum(dc.mul(rmb, sft(xb, *guide_maps([sft], guide)[0]))),
             [xb, guide, sft.scale1.weight, sft.scale2.weight, sft.shift2.weight], coords=4)
         cff = CFF([4, 3], 3, rng)
         coarse = _rand(rng, (1, 4, 2, 2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edmb import diffcore as dc
-from edmb.decoder import CFF, MBConv, SFT, EdgeDistribution, Head
+from edmb.decoder import CFF, MBConv, SFT, EdgeDistribution, Head, guide_maps
 from edmb.diffcore.tensor import Tensor
 from edmb.model import EdgeDetector, ModelConfig
 
@@ -28,6 +28,13 @@ class TestCFF:
         out = cff(maps)
         np.testing.assert_array_equal(out.data, 0.0)
 
+    # 2x2 to 4x6 differs per axis, 6/4 is no integer, 3x3 is no larger
+    @pytest.mark.parametrize("coarse,fine", [((2, 2), (4, 6)), ((4, 4), (6, 6)), ((4, 4), (3, 3))])
+    def test_levels_need_one_integer_factor(self, rng, coarse, fine):
+        cff = CFF([4, 3], 6, rng)
+        with pytest.raises(ValueError, match="cff: level"):
+            cff([dc.zeros((1, 4) + coarse), dc.zeros((1, 3) + fine)])
+
     def test_level_count_mismatch(self, rng):
         cff = CFF([4, 3], 6, rng)
         with pytest.raises(ValueError, match="levels"):
@@ -50,6 +57,10 @@ class TestMBConv:
         assert out.shape == (1, 6, 5, 5)
 
 
+def apply_sft(sft, content, guide):
+    return sft(content, *guide_maps([sft], guide)[0])
+
+
 class TestSFT:
     def test_identity_modulation_by_construction(self, rng):
         sft = SFT(3, 3, rng)
@@ -59,7 +70,7 @@ class TestSFT:
         sft.shift2.bias.data[:] = 0.0
         content = dc.randn(rng, (1, 3, 6, 6))
         guide = dc.randn(rng, (1, 3, 6, 6))
-        out = sft(content, guide)
+        out = apply_sft(sft, content, guide)
         np.testing.assert_allclose(out.data, content.data, atol=1e-7)
 
     def test_zero_scale_ignores_content(self, rng):
@@ -67,22 +78,44 @@ class TestSFT:
         sft.scale2.weight.data[:] = 0.0
         sft.scale2.bias.data[:] = 0.0
         guide = dc.randn(rng, (1, 3, 6, 6))
-        out1 = sft(dc.randn(rng, (1, 3, 6, 6)), guide)
-        out2 = sft(dc.randn(rng, (1, 3, 6, 6)), guide)
+        out1 = apply_sft(sft, dc.randn(rng, (1, 3, 6, 6)), guide)
+        out2 = apply_sft(sft, dc.randn(rng, (1, 3, 6, 6)), guide)
         np.testing.assert_array_equal(out1.data, out2.data)
 
     def test_spatial_mismatch_rejected(self, rng):
         sft = SFT(3, 3, rng)
         with pytest.raises(ValueError, match="spatial"):
-            sft(dc.zeros((1, 3, 6, 6)), dc.zeros((1, 3, 4, 4)))
+            apply_sft(sft, dc.zeros((1, 3, 6, 6)), dc.zeros((1, 3, 4, 4)))
 
     def test_gradient_check(self, rng, f64):
         sft = SFT(2, 2, rng)
         content = dc.randn(rng, (1, 2, 4, 4), requires_grad=True)
         guide = dc.randn(rng, (1, 2, 4, 4), requires_grad=True)
         r = dc.randn(rng, (1, 2, 4, 4))
-        f = lambda: dc.tsum(dc.mul(r, sft(content, guide)))
+        f = lambda: dc.tsum(dc.mul(r, apply_sft(sft, content, guide)))
         assert dc.finite_diff_check(f, [content, guide] + sft.parameters(), max_coords=4) < 1e-4
+
+
+class TestGuideMaps:
+    @pytest.mark.parametrize("batch", [1, 3, 4])
+    def test_stacked_conv_matches_four_convs_bitwise(self, rng, batch):
+        # the decoder's two SFTs at the README demo width: outputs and the
+        # weight and bias gradients keep the bits of four separate convs
+        sfts = [SFT(16, 16, rng), SFT(16, 16, rng)]
+        convs = [c for s in sfts for c in (s.scale1, s.shift1)]
+        guide = dc.randn(rng, (batch, 16, 64, 64))
+        rs = [dc.randn(rng, (batch, 16, 64, 64)) for _ in convs]
+
+        def run(stacked):
+            for c in convs:
+                c.zero_grad()
+            outs = ([m for pair in guide_maps(sfts, guide) for m in pair] if stacked
+                    else [c(guide) for c in convs])
+            dc.backward(sum((dc.tsum(dc.mul(r, o)) for r, o in zip(rs, outs)), dc.zeros(())))
+            return [o.data for o in outs] + [p.grad.copy() for c in convs for p in (c.weight, c.bias)]
+
+        for a, b in zip(run(True), run(False)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestDecodeLGD:
@@ -167,7 +200,7 @@ class TestFunctionalSurface:
         assert cff(maps).shape == (1, 6, 4, 4)
         sft = SFT(3, 3, rng)
         a, b = dc.randn(rng, (1, 3, 4, 4)), dc.randn(rng, (1, 3, 4, 4))
-        assert sft(a, b).shape == (1, 3, 4, 4)
+        assert apply_sft(sft, a, b).shape == (1, 3, 4, 4)
         model = tiny_model()
         x = dc.randn(rng, (1, 3, 64, 64))
         f_g = model.global_enc(x)

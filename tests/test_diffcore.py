@@ -319,6 +319,32 @@ class TestExactKernels:
             assert got.dtype == want.dtype == np.dtype(dtype)
             assert np.array_equal(bits(got), bits(want))
 
+    @pytest.mark.parametrize("shape", [(1, 4, 5, 6), (3, 4, 5, 6), (2, 9, 96, 96), (1, 2, 260, 260)])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_norm_relu_matches_relu_of_norm_bitwise(self, rng, dtype, mode, shape):
+        # the two larger shapes split into several ~64K-element blocks, the
+        # last one short; with and without gradient recording
+        with dc.precision(dtype):
+            x = dc.randn(rng, shape).data
+            x[0, 0, 0, :3] = -0.0
+            g = dc.randn(rng, shape)
+            runs = []
+            for fused in (True, False):
+                bn = self._eval_norm(np.random.default_rng(1), shape[1]).train(mode == "train")
+                bn.relu = fused
+                with dc.no_grad():
+                    free = bn(Tensor(x)) if fused else dc.relu(bn(Tensor(x)))
+                xt = Tensor(x.copy(), requires_grad=True)
+                out = bn(xt) if fused else dc.relu(bn(xt))
+                dc.backward(dc.tsum(dc.mul(out, g)))
+                assert np.array_equal(bits(xt.data), bits(x))  # the input is never written
+                runs.append([free.data, out.data, bn.buffer("running_mean"),
+                             bn.buffer("running_var"), xt.grad, bn.gamma.grad, bn.beta.grad])
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert np.array_equal(bits(got), bits(want))
+
     @pytest.mark.parametrize("B", [1, 3])
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_norm_gradients_finite_difference(self, rng, f64, mode, B):
@@ -377,6 +403,11 @@ class TestPointwise:
 
 
 class TestBilinear:
+    @pytest.mark.parametrize("factor", [1.5, 2.7, 0.5])
+    def test_non_integer_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="integer"):
+            dc.bilinear_upsample(dc.zeros((1, 1, 3, 3)), factor)
+
     def test_constant_preserved(self):
         x = Tensor(np.full((1, 1, 3, 3), 2.5))
         out = dc.bilinear_upsample(x, 4)

@@ -147,6 +147,42 @@ class TestFineEncoder:
             else:
                 np.testing.assert_allclose(a, b, atol=1e-6, err_msg=name)
 
+    @pytest.mark.parametrize("keep", [1, 2, 3, 4])
+    def test_batched_windows_match_one_at_a_time_bitwise(self, rng, keep):
+        # the gradient-free windows run as one batch; outputs and every
+        # parameter gradient keep the bits of running each window alone
+        fine = FineEncoder(small_cfg(window_keep=keep), rng)
+        x = dc.randn(rng, (2, 3, 64, 64))
+        rs = [dc.randn(rng, m.shape) for m in fine(x)]
+
+        def one_at_a_time(kept):
+            per = []
+            for i, win in enumerate(window_split(x)):
+                if i in kept:
+                    per.append(fine.net(win))
+                else:
+                    with dc.no_grad():
+                        per.append(fine.net(win))
+            return [window_reassemble([m[lvl] for m in per]) for lvl in range(3)]
+
+        def trained(pyr):
+            dc.backward(sum((dc.tsum(dc.mul(r, m)) for r, m in zip(rs, pyr)), dc.zeros(())))
+            grads = [p.grad for p in fine.parameters() if p.grad is not None]
+            fine.zero_grad()
+            return [m.data for m in pyr] + grads
+
+        kept = {0, 1, 2, 3}
+        if keep < 4:
+            kept = set(np.random.default_rng(5).choice(4, size=keep, replace=False).tolist())
+        got = trained(fine(x, training=True, rng=np.random.default_rng(5)))
+        want = trained(one_at_a_time(kept))
+        with dc.no_grad():
+            got += [m.data for m in fine(x)]
+            want += [m.data for m in one_at_a_time(set())]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_training_without_rng_rejected(self, rng):
         fine = FineEncoder(small_cfg(window_keep=1), rng)
         with pytest.raises(ValueError, match="rng"):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 
@@ -57,6 +58,27 @@ class TestPredictDistribution:
     def test_variance_nonnegative(self, model, rng):
         dist = predict_distribution(model, rng.random((3, 64, 64)).astype(np.float32))
         assert (dist.var.data >= 0).all()
+
+    @pytest.mark.bits
+    def test_outputs_pinned(self):
+        # mu and var of the README demo model, its norm statistics drawn at
+        # random, on a square and a non-square image
+        model = EdgeDetector(ModelConfig(embed_dim=16, depths=(1, 1, 1), state_dim=4,
+                                         decoder_ch=16, head_blocks=1))
+        rng = np.random.default_rng(21)
+        state = model.state_arrays()
+        for name in state:
+            if name.endswith("running_mean"):
+                state[name] = rng.normal(0.0, 0.3, state[name].shape).astype(np.float32)
+            elif name.endswith("running_var"):
+                state[name] = rng.uniform(0.5, 2.0, state[name].shape).astype(np.float32)
+        model.load_state_arrays(state)
+        digest = hashlib.sha256()
+        for shape in ((3, 64, 64), (3, 96, 128)):
+            dist = predict_distribution(model, rng.random(shape, dtype=np.float32))
+            digest.update(dist.mu.data.tobytes() + dist.var.data.tobytes())
+        assert digest.hexdigest() == (
+            "987cc31ff33013c18d5be00b65fd8ce69f0fa4ff95c77256bcc718d027ef696b")
 
     def test_bad_shape_rejected(self, model):
         with pytest.raises(ValueError, match="3,H,W"):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,7 @@ class TestAugment:
             np.testing.assert_array_equal(sa.labels[0], sb.labels[0])
             np.testing.assert_array_equal(sa.valid, sb.valid)
 
+    @pytest.mark.bits
     def test_named_recipe_outputs_pinned(self, corpus):
         # image, labels and valid mask of six draws per recipe on a square
         # one-annotator and a 48x64 two-annotator sample, plus the generator's
@@ -309,6 +311,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="meta.step"):
             load_checkpoint(path)
 
+    @pytest.mark.bits
     def test_demo_model_state_pinned(self):
         # names, shapes and initial values of the README demo model, in name
         # order: checkpoints written by earlier versions load only while this
@@ -485,6 +488,28 @@ class TestTrainStage:
         ck = train_stage(model, corpus, cfg)
         h = ck.loss_history
         assert np.mean(h[-5:]) < np.mean(h[:5])
+
+    @pytest.mark.bits
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_two_stage_training_state_pinned(self, corpus, keep):
+        # every parameter, buffer and Adam moment plus the loss history after
+        # 2 global and then 2 fine steps; with keep < 4 the fine encoder also
+        # runs gradient-free windows
+        mcfg = replace(tiny_train_cfg().model, window_keep=keep)
+        gcfg = replace(tiny_train_cfg(steps=2, seed=6), model=mcfg)
+        fcfg = replace(tiny_train_cfg(stage="fine", steps=2, seed=7), model=mcfg)
+        ck1 = train_stage(EdgeDetector(mcfg), corpus, gcfg)
+        ck2 = train_stage(EdgeDetector(mcfg), corpus, fcfg, init_ckpt=ck1)
+        digest = hashlib.sha256()
+        for ck in (ck1, ck2):
+            for arrays in (ck.state, ck.opt_state):
+                for name, arr in sorted(arrays.items()):
+                    digest.update(name.encode() + arr.tobytes())
+            digest.update(np.asarray(ck.loss_history, np.float64).tobytes())
+        assert digest.hexdigest() == {
+            1: "667a3585a2970b2a33a028a243326037e2ceb2d9626d637ee07d5ea6492a48da",
+            2: "17ac7e0344d48590d450b8bb907fce5765a52ee6498c92c36f1e10d154d5e0be",
+        }[keep]
 
     def test_fine_requires_checkpoint(self, corpus):
         cfg = tiny_train_cfg(stage="fine", steps=1)

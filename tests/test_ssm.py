@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -141,10 +142,44 @@ class TestSelectiveScan:
             delta = Tensor(rng.random((B, M)) + 0.05)
             a = Tensor(-rng.random(N) - 0.1)
             b_tok, c_tok = dc.randn(rng, (B, M, N)), dc.randn(rng, (B, M, N))
-            y = ssm.selective_scan_core(u, delta, a, b_tok, c_tok).data
+            (y,) = ssm.selective_scan_core(u, delta, a, b_tok, c_tok)
+        y = y.data
         ref = scan_step_reference(u.data, delta.data, a.data, b_tok.data, c_tok.data)
         uint = np.uint32 if y.dtype == np.float32 else np.uint64
         assert np.array_equal(y.view(uint), ref.view(uint))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_stacked_groups_match_single_scans_bitwise(self, rng, dtype):
+        # two groups in one call give each group's output and gradients with
+        # the bits of scanning it alone
+        B, M, D, N = 2, 40, 6, 3
+        with dc.precision(dtype):
+            groups = [[dc.randn(rng, (B, M, D), requires_grad=True),
+                       Tensor(rng.random((B, M)) + 0.05, requires_grad=True),
+                       Tensor(-rng.random(N) - 0.1, requires_grad=True),
+                       dc.randn(rng, (B, M, N), requires_grad=True),
+                       dc.randn(rng, (B, M, N), requires_grad=True)] for _ in range(2)]
+            rs = [dc.randn(rng, (B, M, D)) for _ in range(2)]
+
+            def run(stacked):
+                for t in (t for g in groups for t in g):
+                    t.zero_grad()
+                ys = (ssm.selective_scan_core(*groups[0], *groups[1]) if stacked else
+                      [ssm.selective_scan_core(*g)[0] for g in groups])
+                dc.backward(dc.add(dc.tsum(dc.mul(rs[0], ys[0])), dc.tsum(dc.mul(rs[1], ys[1]))))
+                return [y.data for y in ys] + [t.grad.copy() for g in groups for t in g]
+
+            for a, b in zip(run(True), run(False)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_groups_must_share_shapes(self, rng):
+        x = dc.randn(rng, (1, 3, 2))
+        group = [x, Tensor(np.ones((1, 3))), Tensor([-1.0]), Tensor(np.ones((1, 3, 1))),
+                 Tensor(np.ones((1, 3, 1)))]
+        with pytest.raises(ValueError, match="same"):
+            ssm.selective_scan_core(*group, dc.randn(rng, (1, 4, 2)), *group[1:])
+        with pytest.raises(ValueError, match="groups"):
+            ssm.selective_scan_core(*group, x)
 
     def test_positive_delta_required(self, rng):
         x = dc.randn(rng, (1, 3, 2))
@@ -242,6 +277,22 @@ class TestVimBlock:
             grid = (1, shape[1])
             out = blk(ssm.TokenSequence(dc.randn(rng, shape), grid))
             assert out.tokens.shape == shape
+
+    @pytest.mark.bits
+    def test_output_and_gradients_pinned(self):
+        # float32 output of one block and the gradient of every input and
+        # parameter, in name order
+        rng = np.random.default_rng(8)
+        blk = ssm.VimBlock(8, 4, rng)
+        x = dc.randn(rng, (2, 12, 8), requires_grad=True)
+        r = dc.randn(rng, (2, 12, 8))
+        out = blk(ssm.TokenSequence(x, (3, 4))).tokens
+        dc.backward(dc.tsum(dc.mul(r, out)))
+        digest = hashlib.sha256(out.data.tobytes() + x.grad.tobytes())
+        for name, p in blk.named_parameters():
+            digest.update(name.encode() + p.grad.tobytes())
+        assert digest.hexdigest() == (
+            "d02e4f8188b3696bfcf925f2fec7dcad085d2f7e680f3535a047409f2942514d")
 
     def test_gradient_check(self, rng, f64):
         blk = ssm.VimBlock(3, 2, rng)
