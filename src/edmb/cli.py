@@ -1,7 +1,6 @@
 """Command-line entry point: train / infer / sweep / eval / bench / check.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error. EDMB_THREADS caps
-evaluation worker threads.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations

@@ -16,8 +16,6 @@ found; each recall count is the maximum itself.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -27,24 +25,13 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 
 from . import diffcore as dc
-from .diffcore.tensor import Tensor, bilinear_at
+from .diffcore.tensor import bilinear_at
 
 
 def worker_count():
-    env = os.environ.get("EDMB_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _map_images(work, items):
-    """``[work(it) for it in items]``, on ``worker_count()`` threads."""
-    items = list(items)
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, items))
-    return [work(it) for it in items]
+    """Always 1: images are scored one after another. Kept because the
+    benchmark harness (``perfbench/workload.py``) still imports it."""
+    return 1
 
 
 # -- non-maximum suppression --------------------------------------------------------
@@ -300,24 +287,18 @@ def eval_multigranularity(sample_sets, gts, thresholds=33, max_dist_frac=0.0075)
     gts = _normalize_gts(gts)
     if len(sample_sets) != len(gts):
         raise ValueError("sample sets and ground truths differ in length")
+    if not sample_sets:
+        raise ValueError("no images to score: the prediction and ground-truth lists are empty")
     M = len(sample_sets[0])
     for i, s in enumerate(sample_sets):
         if len(s) != M:
             raise ValueError(f"image {i} has {len(s)} samples, expected {M}")
 
-    def work(args):
-        samples, gt_maps = args
-        return [
-            image_counts(np.asarray(p, dtype=np.float64), gt_maps, thresholds,
-                         max_dist_frac)
-            for p in samples
-        ]
-
-    counts = _map_images(work, zip(sample_sets, gts))
-
     chosen_rows = []
-    for per_sample in counts:  # one image
-        stacked = np.array([astuple(c) for c in per_sample])  # (M, 4, T)
+    for samples, gt_maps in zip(sample_sets, gts):
+        counts = [image_counts(np.asarray(p, dtype=np.float64), gt_maps, thresholds,
+                               max_dist_frac) for p in samples]
+        stacked = np.array([astuple(c) for c in counts])  # (M, 4, T)
         best = prf(*stacked.transpose(1, 0, 2))[2].argmax(axis=0)  # sample per threshold
         chosen_rows.append(ImageCounts(*stacked[best, :, np.arange(len(thresholds))].T))
     return _aggregate(chosen_rows, thresholds)
@@ -328,16 +309,14 @@ def eval_multigranularity(sample_sets, gts, thresholds=33, max_dist_frac=0.0075)
 
 def count_flops_params(model, input_shape=(3, 64, 64)):
     """Learnable parameter count plus 2x multiply-accumulates of one
-    inference forward (convolutions, linear projections, scans)."""
-    params = model.param_count()
-    x = Tensor(np.zeros((1,) + tuple(input_shape), dtype=dc.default_dtype()))
-    was_training = model.training
-    model.eval()
+    ``predict_distribution`` forward (convolutions, linear projections,
+    scans) on a zero image of ``input_shape``, padded as inference pads it."""
+    # imported here so that scoring alone does not load the model modules
+    from .inference import predict_distribution
+
     dc.profile_macs_start()
     try:
-        with dc.no_grad():
-            model.forward_full(x, training=False, include_aux=False)
+        predict_distribution(model, np.zeros(input_shape))
     finally:
         macs = dc.profile_macs_stop()
-        model.train(was_training)
-    return params, 2 * macs
+    return model.param_count(), 2 * macs

@@ -359,6 +359,8 @@ class TrainConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 # flat key=value schema: every TrainConfig field but ``stage`` (set by
 # ``edmb train --stage``) has a documented key
 CONFIG_KEYS = {
@@ -375,7 +377,7 @@ CONFIG_KEYS = {
     "loss.varphi": ("loss.varphi", float),
     "loss.alpha2": ("loss.alpha2", float),
     "loss.eps": ("loss.eps", float),
-    "loss.literal_eq9_weights": ("loss.literal_weights", lambda s: s.lower() in ("1", "true", "yes")),
+    "loss.literal_eq9_weights": ("loss.literal_weights", lambda s: BOOLS[s.lower()]),
     "model.embed_dim": ("model.embed_dim", int),
     "model.depths": ("model.depths", lambda s: tuple(int(x) for x in s.split(","))),
     "model.state_dim": ("model.state_dim", int),

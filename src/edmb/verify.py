@@ -40,30 +40,6 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.value:.3e} < {self.threshold:.0e}"
 
 
-class ReplayRng:
-    """Replays one fixed stream of normal draws per reset; keeps sampled
-    losses deterministic across repeated finite-difference evaluations."""
-
-    def __init__(self, seed=0):
-        self._rng = np.random.default_rng(seed)
-        self._stash = []
-        self._idx = 0
-
-    def reset(self):
-        self._idx = 0
-
-    def standard_normal(self, shape):
-        if self._idx < len(self._stash):
-            arr = self._stash[self._idx]
-            if arr.shape != tuple(shape):
-                raise RuntimeError("replay shape mismatch")
-        else:
-            arr = self._rng.standard_normal(shape)
-            self._stash.append(arr)
-        self._idx += 1
-        return arr
-
-
 def _rand(rng, shape, requires_grad=True):
     return dc.randn(rng, shape, requires_grad=requires_grad)
 
@@ -190,11 +166,10 @@ def grad_suite(eps=1e-4, tol=1e-4, max_coords=6):
         mask = np.ones((3, 3))
         logits = _rand(rng, (1, 1, 3, 3))
         add("wce_loss", lambda: wce_loss(dc.sigmoid(logits), yv, mask, cfg), [logits])
-        replay = ReplayRng(11)
 
+        # a fresh generator per evaluation draws the same noise every time
         def reparam_loss():
-            replay.reset()
-            pr = sample_reparam(mu, dc.softplus(raw_var), replay)
+            pr = sample_reparam(mu, dc.softplus(raw_var), np.random.default_rng(11))
             return wce_loss(pr, yv, mask, cfg)
 
         add("sample_reparam", reparam_loss, [mu, raw_var])
@@ -207,15 +182,13 @@ def grad_suite(eps=1e-4, tol=1e-4, max_coords=6):
         img = np.random.default_rng(5).random((1, 3, 16, 16))
         y16 = (np.random.default_rng(6).random((16, 16)) > 0.8).astype(float)
         m16 = np.ones((16, 16))
-        replay2 = ReplayRng(12)
 
         def stage1_loss():
             return stage_losses(stage_outputs(model, img, "global"), y16, m16, cfg, "global")
 
         def stage2_loss():
-            replay2.reset()
             return stage_losses(stage_outputs(model, img, "fine"), y16, m16, cfg, "fine",
-                                rng=replay2)
+                                rng=np.random.default_rng(12))
 
         s1_params = [dict(model.named_parameters())[n] for n in [
             "global_enc.patch.proj.weight",

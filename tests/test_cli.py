@@ -177,6 +177,14 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "(32, 48)" in err and "(64, 64)" in err and repr(sid) in err
 
+    def test_empty_list_exits_1(self, workspace, tmp_path, capsys):
+        ids = tmp_path / "list.txt"
+        ids.write_text("")
+        rc = main(["eval", "--pred", str(tmp_path), "--gt", str(workspace["data"] / "labels"),
+                   "--list", str(ids)])
+        assert rc == 1
+        assert "no images" in capsys.readouterr().err
+
     def test_missing_prediction_exits_1(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--pred", str(tmp_path), "--gt",
                    str(workspace["data"] / "labels"),
@@ -185,8 +193,10 @@ class TestEvalCommand:
 
 
 class TestBench:
-    def test_reports_params_and_gflops(self, workspace, capsys):
-        rc = main(["bench", "--config", str(workspace["cfg"]), "--shape", "3x64x64"])
+    # 3x100x100 failed: the count ran the encoders on the unpadded input
+    @pytest.mark.parametrize("shape", ["3x64x64", "3x100x100"])
+    def test_reports_params_and_gflops(self, workspace, capsys, shape):
+        rc = main(["bench", "--config", str(workspace["cfg"]), "--shape", shape])
         assert rc == 0
         out = capsys.readouterr().out
         assert re.search(r"params=\d+", out)

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import threading
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -333,6 +336,13 @@ class TestFCurve:
         with pytest.raises(ValueError, match="predictions"):
             f_curve([np.zeros((4, 4))], [])
 
+    # both raised a bare IndexError before
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="no images"):
+            f_curve([], [])
+        with pytest.raises(ValueError, match="no images"):
+            eval_multigranularity([], [])
+
     def test_size_mismatch_rejected_naming_both_shapes(self):
         pred = np.zeros((64, 64))
         pred[10, 5:20] = 0.9
@@ -397,13 +407,19 @@ class TestFlopsParams:
         conv = nn.Conv2d(16, 32, 3, rng)
         assert conv.weight.size + conv.bias.size == 32 * 16 * 9 + 32
 
-    def test_model_counts(self):
-        model = EdgeDetector(ModelConfig(embed_dim=8, depths=(1, 1, 1), state_dim=2,
-                                         decoder_ch=8, head_blocks=1, highres_ch=4,
-                                         seed=0))
-        params, flops = count_flops_params(model, (3, 64, 64))
-        assert params == model.param_count()
-        assert flops > 0 and flops % 2 == 0
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return EdgeDetector(ModelConfig(embed_dim=8, depths=(1, 1, 1), state_dim=2,
+                                        decoder_ch=8, head_blocks=1, highres_ch=4, seed=0))
+
+    def test_model_counts(self, tiny):
+        params, flops = count_flops_params(tiny, (3, 64, 64))
+        assert params == tiny.param_count()
+        assert flops == 81_674_240
+
+    def test_unaligned_shape_counted_as_padded(self, tiny):
+        # the forward that predict_distribution runs: 100x100 is padded to 128x128
+        assert count_flops_params(tiny, (3, 100, 100)) == count_flops_params(tiny, (3, 128, 128))
 
     def test_highres_share_below_one_percent_default(self):
         model = EdgeDetector(ModelConfig())
@@ -421,19 +437,37 @@ class TestReport:
                         "pooled_ods", "pooled_ois", "pooled_ods_threshold"]
 
 
-class TestThreads:
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("EDMB_THREADS", "2")
-        assert evalkit.worker_count() == 2
-        monkeypatch.setenv("EDMB_THREADS", "")
-        assert evalkit.worker_count() >= 1
+class TestSerial:
+    def test_scoring_starts_no_thread(self, rng, monkeypatch):
+        # images are scored in one loop, whatever the environment says
+        def refuse(thread):
+            raise AssertionError(f"scoring started thread {thread.name}")
 
-    def test_parallel_matches_serial(self, rng, monkeypatch):
+        monkeypatch.setenv("EDMB_THREADS", "3")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         preds = [rng.random((12, 12)) for _ in range(4)]
         gts = [rng.random((12, 12)) > 0.8 for _ in range(4)]
-        monkeypatch.setenv("EDMB_THREADS", "1")
-        serial = f_curve(preds, gts, thresholds=5)
-        monkeypatch.setenv("EDMB_THREADS", "3")
-        parallel = f_curve(preds, gts, thresholds=5)
-        assert serial.ods_f == parallel.ods_f
-        assert serial.ois_f == parallel.ois_f
+        f_curve(preds, gts, thresholds=5)
+
+
+class TestReportsPinned:
+    @pytest.mark.bits
+    def test_counts_and_fields_pinned(self):
+        # every count array and report field of a seeded 3-image, 2-annotator
+        # set, scored with one sample per image and with three
+        rng = np.random.default_rng(31)
+        shape = (40, 56)
+        gts = [[rng.random(shape) > 0.85 for _ in range(2)] for _ in range(3)]
+        preds = [0.4 * g[0] + 0.6 * rng.random(shape) for g in gts]
+        samples = [[0.4 * g[k % 2] + 0.6 * rng.random(shape) for k in range(3)] for g in gts]
+        digest = hashlib.sha256()
+        for rep in (f_curve(preds, gts, thresholds=9, max_dist_frac=0.03),
+                    eval_multigranularity(samples, gts, thresholds=9, max_dist_frac=0.03)):
+            for counts in rep.per_image:
+                for a in astuple(counts):
+                    digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+            for fld in fields(rep):
+                if fld.name != "per_image":
+                    digest.update(np.asarray(getattr(rep, fld.name), np.float64).tobytes())
+        assert digest.hexdigest() == (
+            "e0b91de69bc7a83b8bf8948a0c30d2936889a5a55897ec7c11aa1726a8f9c793")

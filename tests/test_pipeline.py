@@ -440,11 +440,22 @@ model.seed=3
         with pytest.raises(ValueError, match=match):
             parse_config(path)
 
-    def test_bad_value_rejected(self, tmp_path):
+    # a misspelt boolean was read as false
+    @pytest.mark.parametrize("line", ["max_steps=soon", "loss.literal_eq9_weights=ture",
+                                      "loss.literal_eq9_weights=on",
+                                      "loss.literal_eq9_weights=2"])
+    def test_bad_value_rejected(self, tmp_path, line):
         path = tmp_path / "c.cfg"
-        path.write_text("max_steps=soon\n")
+        path.write_text(line + "\n")
         with pytest.raises(ValueError, match="bad value"):
             parse_config(path)
+
+    @pytest.mark.parametrize("raw, value", [("1", True), ("TRUE", True), ("Yes", True),
+                                            ("0", False), ("False", False), ("NO", False)])
+    def test_boolean_spellings(self, tmp_path, raw, value):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"loss.literal_eq9_weights={raw}\n")
+        assert parse_config(path).loss.literal_weights is value
 
     # each was accepted before: save_every=-1 saved at every step, a negative
     # batch size fell back to the stage default, mixed_threshold=0 made
