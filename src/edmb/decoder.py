@@ -32,8 +32,8 @@ class MBConv(nn.Module):
     """Inverted-bottleneck fuse: 1x1 expand, 3x3 depthwise, 1x1 project.
 
     Hidden width is 4x the output width to keep the expansion bounded for
-    wide concatenated inputs; residual applies when in/out shapes match.
-    """
+    wide concatenated inputs; residual applies when in/out shapes match. No
+    name holds a consumed hidden map, so at most two are alive at a time."""
 
     def __init__(self, in_ch, out_ch, rng):
         super().__init__()
@@ -47,8 +47,7 @@ class MBConv(nn.Module):
         self.norm3 = nn.Norm2d(out_ch)
 
     def __call__(self, x):
-        y = self.norm1(self.expand(x))
-        y = self.norm2(self.depthwise(y))
+        y = self.norm2(self.depthwise(self.norm1(self.expand(x))))
         y = self.norm3(self.project(y))
         if self.residual:
             y = dc.add(y, x)
@@ -78,8 +77,7 @@ class CFF(nn.Module):
             if H % h or W % w or H // h != W // w:
                 raise ValueError(f"cff: level {H}x{W} is not one integer factor "
                                  f"larger than {h}x{w} on both axes")
-            up = dc.bilinear_upsample(current, H // h)
-            current = fuse(dc.concat([up, finer], axis=1))
+            current = fuse(dc.concat([dc.bilinear_upsample(current, H // h), finer], axis=1))
         return current
 
 

@@ -503,39 +503,46 @@ def _conv_out_size(H, k, stride, pad):
     return num // stride + 1
 
 
-def _pad_hw(x, pad):
+def _im2col(x, kh, kw, stride, pad, out=None, rows=None):
+    """(B, C*kh*kw, n*Wo) patch columns of the n output rows ``rows`` = (i0, i1),
+    all Ho by default, ordered (C, kh, kw), into the flat buffer ``out`` if
+    given. Each tap's plane is one strided copy of the unpadded NCHW input
+    plus zeroed border strips where the tap reads padding: x is never padded."""
+    B, C, H, W = x.shape
     ph, pw = (pad, pad) if isinstance(pad, int) else pad
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+    Ho, Wo = (H + 2 * ph - kh) // stride + 1, (W + 2 * pw - kw) // stride + 1
+    i0, i1 = rows or (0, Ho)
+    n = B * C * kh * kw * (i1 - i0) * Wo
+    cols = (np.empty(n, dtype=x.dtype) if out is None else out[:n]).reshape(B, C, kh, kw, i1 - i0, Wo)
 
+    def span(off, size, lo, hi):  # outputs [a, b) of [lo, hi) that read x, from index stride*a+off
+        a = min(hi, max(lo, -(off // stride)))
+        return a, max(a, min(hi, (size - 1 - off) // stride + 1)), stride * a + off
 
-def _im2col(x, kh, kw, stride, pad, out=None):
-    """(B, C*kh*kw, Ho*Wo) patch columns, rows ordered (C, kh, kw), written
-    into the flat buffer ``out`` if given. Each kernel tap is one strided plane
-    copy out of the padded NCHW input."""
-    xp = _pad_hw(x, pad)
-    B, C, Hp, Wp = xp.shape
-    Ho, Wo = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
-    n = B * C * kh * kw * Ho * Wo
-    cols = (np.empty(n, dtype=x.dtype) if out is None else out[:n]).reshape(B, C, kh, kw, Ho, Wo)
     for u in range(kh):
+        a, b, r = span(u - ph, H, i0, i1)
         for v in range(kw):
-            cols[:, :, u, v] = xp[:, :, u : u + stride * Ho : stride, v : v + stride * Wo : stride]
-    return cols.reshape(B, C * kh * kw, Ho * Wo), Ho, Wo
+            (c, d, s), plane = span(v - pw, W, 0, Wo), cols[:, :, u, v]
+            plane[:, :, : a - i0] = plane[:, :, b - i0 :] = plane[..., :c] = plane[..., d:] = 0
+            plane[:, :, a - i0 : b - i0, c:d] = x[:, :, r : r + stride * (b - a) : stride,
+                                                  s : s + stride * (d - c) : stride]
+    return cols.reshape(B, C * kh * kw, (i1 - i0) * Wo), Ho, Wo
 
 
 def _conv2d_dense_raw(x, w, stride, pad, bias=None, keep=False):
     """Dense conv as ``w.reshape(Co, K) @ cols`` per batch item; with ``keep``
-    also returns the (B, K, Ho*Wo) columns for the weight gradient. Without it,
-    the columns of blocks of output rows (~1M elements, 4 MB in float32) are
-    filled into one reused buffer and multiplied straight into the output.
+    also returns the (B, K, Ho*Wo) columns for the weight gradient. Without
+    it, the columns of blocks of output rows (~1M elements, 4 MB in float32)
+    are filled from the unpadded input into one reused buffer and multiplied
+    straight into the output.
 
     The bits match the row-major ``cols @ w.T`` form, except that OpenBLAS
     takes a small-matrix kernel for a GEMM with M*N*K below about 1e6, where
     the two operand orientations differ by ulps. No model shape falls there."""
     Co, C, kh, kw = w.shape
-    xp = _pad_hw(x, pad)
-    B, _, Hp, Wp = xp.shape
-    K, Ho, Wo = C * kh * kw, (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
+    B, _, H, W = x.shape
+    ph, pw = (pad, pad) if isinstance(pad, int) else pad
+    K, Ho, Wo = C * kh * kw, (H + 2 * ph - kh) // stride + 1, (W + 2 * pw - kw) // stride + 1
     rows = Ho if keep else max(1, min(Ho, (1 << 20) // (K * Wo)))
     cols = np.empty((B if keep else 1, K * rows * Wo), dtype=x.dtype)
     out = np.empty((B, Co, Ho * Wo), dtype=np.result_type(x, w))
@@ -543,8 +550,7 @@ def _conv2d_dense_raw(x, w, stride, pad, bias=None, keep=False):
     for b in range(B):
         for i0 in range(0, Ho, rows):
             i1 = min(Ho, i0 + rows)
-            slab = xp[b : b + 1, :, stride * i0 : stride * (i1 - 1) + kh]
-            blk, _, _ = _im2col(slab, kh, kw, stride, 0, cols[b if keep else 0])
+            blk, _, _ = _im2col(x[b : b + 1], kh, kw, stride, (ph, pw), cols[b if keep else 0], (i0, i1))
             np.matmul(wm, blk[0], out=out[b, :, i0 * Wo : i1 * Wo])
     if bias is not None:
         out += bias[:, None]
@@ -574,8 +580,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     B, C, H, W = x.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel must be odd, got {kh}x{kw}")
-    if padding < 0:
-        raise ValueError("conv2d: padding must be >= 0")
+    if not isinstance(padding, (int, np.integer)) or padding < 0:
+        raise ValueError(f"conv2d: padding must be an int >= 0, got {padding!r}")
+    if bias is not None and bias.shape != (Co,):
+        raise ValueError(f"conv2d: bias shape {bias.shape} does not match Co={Co}")
     Ho = _conv_out_size(H, kh, stride, padding)
     Wo = _conv_out_size(W, kw, stride, padding)
 
@@ -636,50 +644,59 @@ def _conv2d_1x1(x, weight, bias):
     return make_op(out, parents, vjp, "conv2d")
 
 
-def _depthwise_taps(wk, src, dst, Ho, Wo, scatter):
-    """dst += wk[:, u, v] * src over the kernel taps of (B*C) planes, with src
-    shifted by the tap (forward) or, with ``scatter``, dst (input gradient).
-    Blocks of ~64K output elements reuse one product buffer in cache, in the
-    tap order of one full-size product per tap, so every sum keeps its bits."""
+def _depthwise_taps(wk, src, dst, pad, scatter):
+    """dst += wk[:, u, v] * src over the kernel taps of (B*C) planes, with the
+    input shifted by the tap: src (forward) or, with ``scatter``, dst (input
+    gradient). Blocks of ~64K output elements reuse, in cache, one product
+    buffer and one padded scratch whose border is zeroed once: the forward
+    copies each input block into its interior, the gradient scatters into it
+    and copies the interior out. The tap order is that of one full-size
+    product per tap, so every sum keeps its bits."""
     kh, kw = wk.shape[1:]
-    cb = max(1, (1 << 16) // (Ho * Wo))
-    buf = np.empty((min(len(wk), cb), Ho, Wo), dtype=np.result_type(wk, src))
+    (H, W), (Ho, Wo) = (dst.shape[1:], src.shape[1:]) if scatter else (src.shape[1:], dst.shape[1:])
+    cb = min(len(wk), max(1, (1 << 16) // (Ho * Wo)))
+    buf = np.empty((cb, Ho, Wo), dtype=np.result_type(wk, src))
+    padded = np.zeros((cb, H + 2 * pad, W + 2 * pad), dtype=(dst if scatter else src).dtype)
+    inner = (slice(None), slice(pad, pad + H), slice(pad, pad + W))
     for c0 in range(0, len(wk), cb):
         w, s, d = wk[c0 : c0 + cb], src[c0 : c0 + cb], dst[c0 : c0 + cb]
-        tb = buf[: len(w)]
+        tb, pb = buf[: len(w)], padded[: len(w)]
+        if not scatter:
+            pb[inner] = s
         for u in range(kh):
             for v in range(kw):
                 win = (slice(None), slice(u, u + Ho), slice(v, v + Wo))
-                np.multiply(w[:, u, v, None, None], s if scatter else s[win], out=tb)
-                acc = d[win] if scatter else d
+                np.multiply(w[:, u, v, None, None], s if scatter else pb[win], out=tb)
+                acc = pb[win] if scatter else d
                 acc += tb
+        if scatter:
+            d[...] = pb[inner]
+            pb.fill(0)
 
 
 def _depthwise_conv2d(x, weight, bias, stride, pad, H, W, Ho, Wo):
-    B, C, _, _ = x.shape
-    _, _, kh, kw = weight.shape
+    (B, C), (kh, kw) = x.shape[:2], weight.shape[2:]
     if stride != 1:
         raise ValueError("depthwise conv2d supports stride 1 only")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    planes = (B * C,) + xp.shape[2:]
     wk = np.tile(weight.data[:, 0], (B, 1, 1))  # (B*C,kh,kw), plane b*C+c
     out = np.zeros((B, C, Ho, Wo), dtype=x.data.dtype)
-    _depthwise_taps(wk, xp.reshape(planes), out.reshape(B * C, Ho, Wo), Ho, Wo, False)
+    _depthwise_taps(wk, x.data.reshape(B * C, H, W), out.reshape(B * C, Ho, Wo), pad, False)
     if bias is not None:
         out += bias.data.reshape(1, C, 1, 1)
     _count_macs(B * Ho * Wo * C * kh * kw)
 
     def vjp(g):
         # gw keeps the full-size (0,2,3) reduction, whose order sets its bits
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
         gw = np.empty((C, 1, kh, kw), dtype=g.dtype)
         prod = np.empty(g.shape, dtype=np.result_type(xp, g))
         for u in range(kh):
             for v in range(kw):
                 np.multiply(xp[:, :, u : u + Ho, v : v + Wo], g, out=prod)
                 gw[:, 0, u, v] = prod.sum(axis=(0, 2, 3))
-        gxp = np.zeros_like(xp)
-        _depthwise_taps(wk, g.reshape(B * C, Ho, Wo), gxp.reshape(planes), Ho, Wo, True)
-        gx = gxp[:, :, pad : pad + H, pad : pad + W] if pad else gxp
+        del xp, prod
+        gx = np.empty((B, C, H, W), dtype=x.data.dtype)
+        _depthwise_taps(wk, g.reshape(B * C, Ho, Wo), gx.reshape(B * C, H, W), pad, True)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 

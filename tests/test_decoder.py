@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,22 @@ class TestMBConv:
         mb = MBConv(4, 6, rng)
         out = mb(dc.randn(rng, (1, 4, 5, 5)))
         assert out.shape == (1, 6, 5, 5)
+
+    def test_eval_call_holds_at_most_two_and_a_half_hidden_maps(self, rng):
+        # no name keeps a consumed hidden map alive, and the depthwise conv
+        # makes no padded copy of its input: the peak of new allocations in
+        # one no-grad call is two hidden maps plus the output and scratch
+        mb = MBConv(48, 32, rng).eval()
+        x = dc.randn(rng, (1, 48, 128, 128))
+        hidden_bytes = 128 * 128 * 128 * x.data.itemsize
+        with dc.no_grad():
+            tracemalloc.start()
+            try:
+                mb(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.5 * hidden_bytes
 
 
 def apply_sft(sft, content, guide):

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,57 @@ class TestConv2d:
         with pytest.raises(ValueError, match="odd"):
             dc.conv2d(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 2, 2)), None, 1, 0)
 
+    @pytest.mark.parametrize("w_shape,groups,padding", [
+        ((3, 2, 3, 3), 1, 1),  # dense
+        ((3, 2, 1, 1), 1, 0),  # 1x1
+        ((2, 1, 3, 3), 2, 1),  # depthwise, Co = 2
+    ])
+    @pytest.mark.parametrize("b_shape", [(1,), (4,), (3, 1)])
+    def test_bias_of_wrong_shape_rejected(self, w_shape, groups, padding, b_shape):
+        x, w = dc.zeros((1, 2, 4, 4)), dc.zeros(w_shape)
+        co = w_shape[0]
+        if b_shape == (co,):
+            b_shape = (co + 1,)
+        with pytest.raises(ValueError, match=rf"bias shape \({b_shape[0]},.*Co={co}"):
+            dc.conv2d(x, w, dc.zeros(b_shape), 1, padding, groups)
+
+    @pytest.mark.parametrize("padding", [1.0, 0.5, (1, 1), "1", None])
+    def test_non_int_padding_rejected(self, padding):
+        with pytest.raises(ValueError, match="padding must be an int"):
+            dc.conv2d(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 3, 3)), None, 1, padding)
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ValueError, match="padding must be an int >= 0, got -1"):
+            dc.conv2d(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 3, 3)), None, 1, -1)
+
+    @pytest.mark.parametrize("k,pad", [(1, 1), (3, 3)])
+    def test_input_gradient_with_pad_beyond_kernel(self, rng, f64, k, pad):
+        # the adjoint conv runs at padding k - 1 - pad < 0, which crops
+        x = rng.standard_normal((1, 2, 3, 4))
+        w = rng.standard_normal((3, 2, k, k))
+        r = rng.standard_normal(conv2d_loop(x, w, None, 1, pad).shape)
+        xt = Tensor(x, requires_grad=True)
+        dc.backward(dc.tsum(dc.mul(dc.conv2d(xt, Tensor(w), None, 1, pad), Tensor(r))))
+        basis = np.eye(x.size).reshape((x.size,) + x.shape)
+        want = np.array([(conv2d_loop(e[None], w, None, 1, pad) * r).sum() for e in basis[:, 0]])
+        np.testing.assert_allclose(xt.grad.reshape(-1), want, atol=1e-12)
+
+    def test_no_grad_depthwise_allocates_output_and_one_block(self, rng):
+        # no padded copy of the input: besides its output, a no-grad
+        # depthwise conv allocates one ~64K-element padded block scratch and
+        # one product buffer of the same size
+        x = dc.randn(rng, (1, 64, 128, 128))
+        w = dc.randn(rng, (64, 1, 3, 3))
+        with dc.no_grad():
+            tracemalloc.start()
+            try:
+                out = dc.conv2d(x, w, None, 1, 1, 64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block = (1 << 16) * x.data.itemsize
+        assert peak <= out.data.nbytes + 2.5 * block
+
     def test_depthwise_matches_grouped_loop(self, rng, f64):
         x = rng.standard_normal((1, 3, 5, 5))
         w = rng.standard_normal((3, 1, 3, 3))
@@ -158,9 +210,15 @@ class TestConv2d:
         ((3, 2, 5, 8), 5, 1, 2),
         ((2, 5, 6, 7), 3, 1, (1, 0)),
         ((1, 2, 4, 4), 1, 1, 0),
+        ((2, 3, 9, 8), 3, 2, (1, 0)),
+        ((1, 2, 7, 7), 3, 2, (0, 1)),
+        ((1, 2, 3, 5), 3, 2, 2),
+        ((1, 3, 11, 11), 5, 2, 2),
     ])
     def test_im2col_matches_sliding_window_rows(self, rng, shape, k, stride, pad):
+        # the columns are filled from the unpadded input; the reference pads
         x = rng.standard_normal(shape).astype(np.float32)
+        x[:, :, 0] = -0.0
         ph, pw = (pad, pad) if isinstance(pad, int) else pad
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
@@ -170,7 +228,13 @@ class TestConv2d:
         got, gho, gwo = _im2col(x, k, k, stride, pad)
         assert (gho, gwo) == (Ho, Wo)
         assert got.flags.c_contiguous
-        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(bits(got), bits(want))
+        # any range of output rows, into a reused buffer full of garbage
+        buf = np.full(want.size, np.nan, dtype=np.float32)
+        for i0, i1 in ((0, 1), (Ho - 1, Ho), (Ho // 2, Ho), (0, Ho)):
+            got, _, _ = _im2col(x, k, k, stride, pad, buf, (i0, i1))
+            ref = want.reshape(B, C * k * k, Ho, Wo)[:, :, i0:i1].reshape(B, -1, (i1 - i0) * Wo)
+            assert np.array_equal(bits(got), bits(ref))
 
     def test_depthwise_gradients_match_block_diagonal_dense(self, rng, f64):
         # batch > 1 so the per-item weight-gradient sum is exercised
@@ -213,6 +277,36 @@ class TestExactKernels:
         assert np.array_equal(bits(out.data), bits(ref_out))
         assert np.array_equal(bits(x.grad), bits(ref_gx))
 
+    @pytest.mark.parametrize("shape,k,pad", [
+        ((1, 4, 260, 260), 3, 1),  # one channel per block
+        ((1, 5, 150, 150), 3, 1),  # blocks of 2, 2 and a short last one of 1
+        ((2, 3, 40, 40), 3, 0),
+        ((1, 6, 50, 50), 5, 2),
+        ((2, 7, 120, 90), 5, 1),
+    ])
+    def test_depthwise_blocks_match_tap_loop_bitwise(self, rng, shape, k, pad):
+        C = shape[1]
+        x = dc.randn(rng, shape, requires_grad=True)
+        x.data[:, :, [0, -1]] = -0.0  # -0.0 on the border rows and columns
+        x.data[:, :, :, [0, -1]] = -0.0
+        w = dc.randn(rng, (C, 1, k, k), requires_grad=True)
+        w.data[::2] = -np.abs(w.data[::2])  # every weight of the even channels negative
+        with dc.no_grad():
+            no_grad_out = dc.conv2d(x, w, None, 1, pad, C)
+        out = dc.conv2d(x, w, None, 1, pad, C)
+        g = dc.randn(rng, out.shape)
+        g.data[:, :, 0] = -0.0
+        dc.backward(dc.tsum(dc.mul(out, g)))
+        ref_out, ref_gx = depthwise_tap_loop(x.data, w.data, pad, g.data)
+        Ho, Wo = out.shape[2:]
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        ref_gw = np.stack([[(xp[:, :, u : u + Ho, v : v + Wo] * g.data).sum(axis=(0, 2, 3))
+                            for v in range(k)] for u in range(k)]).transpose(2, 0, 1)[:, None]
+        assert np.array_equal(bits(no_grad_out.data), bits(ref_out))
+        assert np.array_equal(bits(out.data), bits(ref_out))
+        assert np.array_equal(bits(x.grad), bits(ref_gx))
+        assert np.array_equal(bits(w.grad), bits(ref_gw))
+
     # Below M*N*K of about 1e6 per GEMM, OpenBLAS takes a small-matrix kernel
     # whose bits depend on the operand orientation; every shape here is above it.
     @pytest.mark.parametrize("shape,co,stride,with_bias", [
@@ -246,6 +340,29 @@ class TestExactKernels:
         blocked, no_cols = _conv2d_dense_raw(x, w, stride, 1, b)
         assert no_cols is None and cols.shape == (1, 32 * 9, kept.shape[2] * kept.shape[3])
         assert np.array_equal(bits(blocked), bits(kept))
+
+    @pytest.mark.parametrize("shape,stride,pad", [
+        ((1, 32, 160, 160), 1, 1),
+        ((1, 32, 199, 199), 2, (1, 0)),
+        ((2, 16, 130, 97), 1, (1, 0)),
+    ])
+    def test_dense_columns_from_unpadded_input_match_padded_bitwise(self, rng, shape, stride, pad):
+        # kept and row-blocked columns are filled from the unpadded input;
+        # the reference cuts them from a padded copy
+        x = rng.standard_normal(shape).astype(np.float32)
+        x[:, :, -1] = -0.0
+        w = rng.standard_normal((32, shape[1], 3, 3)).astype(np.float32)
+        b = rng.standard_normal(32).astype(np.float32)
+        kept, cols = _conv2d_dense_raw(x, w, stride, pad, b, keep=True)
+        blocked, _ = _conv2d_dense_raw(x, w, stride, pad, b)
+        ph, pw = (pad, pad) if isinstance(pad, int) else pad
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+        ref_cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(cols.shape)
+        ref = (np.matmul(w.reshape(32, -1), ref_cols) + b[:, None]).reshape(blocked.shape)
+        assert np.array_equal(bits(cols), bits(ref_cols))
+        assert np.array_equal(bits(kept), bits(ref))
+        assert np.array_equal(bits(blocked), bits(ref))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_relu_special_values_bitwise(self, dtype):

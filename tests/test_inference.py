@@ -62,7 +62,7 @@ class TestPredictDistribution:
     @pytest.mark.bits
     def test_outputs_pinned(self):
         # mu and var of the README demo model, its norm statistics drawn at
-        # random, on a square and a non-square image
+        # random, on a square and a non-square image, then on a large one
         model = EdgeDetector(ModelConfig(embed_dim=16, depths=(1, 1, 1), state_dim=4,
                                          decoder_ch=16, head_blocks=1))
         rng = np.random.default_rng(21)
@@ -79,6 +79,12 @@ class TestPredictDistribution:
             digest.update(dist.mu.data.tobytes() + dist.var.data.tobytes())
         assert digest.hexdigest() == (
             "987cc31ff33013c18d5be00b65fd8ce69f0fa4ff95c77256bcc718d027ef696b")
+        # a large plane: at 192x256 every full-resolution depthwise block
+        # holds one channel
+        dist = predict_distribution(model, rng.random((3, 192, 256), dtype=np.float32))
+        digest = hashlib.sha256(dist.mu.data.tobytes() + dist.var.data.tobytes())
+        assert digest.hexdigest() == (
+            "4eac368f9ab57560e7e5276c5a3e5f0434c19130c5b320a3e631793cd3e6f270")
 
     def test_bad_shape_rejected(self, model):
         with pytest.raises(ValueError, match="3,H,W"):
