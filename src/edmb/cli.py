@@ -81,7 +81,6 @@ def _load_model_from_ckpt(path):
         raise ValueError(f"{path}: checkpoint lacks architecture metadata")
     model = EdgeDetector(ckpt.model_config)
     model.load_state_arrays(ckpt.state)
-    model.eval()
     return model
 
 

@@ -7,7 +7,7 @@ both fine branches through affine transforms predicted from it; softplus on
 the variance heads keeps every variance non-negative. The direct edge head
 reads the guide and gives the global stage its edge probability map. The
 fine stage gets a list of ``EdgeDistribution`` (mu, var) pairs: the main
-one, then, for training, the auxiliary one whose heads read the fine maps
+one, then, in train mode, the auxiliary one whose heads read the fine maps
 directly.
 """
 
@@ -163,17 +163,17 @@ class LGDDecoder(nn.Module):
         """The stride-1 global map that conditions both fine branches."""
         return self.cff_global(self._levels(f_g, f_h))
 
-    def decode(self, guide, f_f, f_h, include_aux=True):
+    def decode(self, guide, f_f, f_h):
         """``[main]``: the distribution of the fine pyramid modulated by
-        ``guide``; with ``include_aux``, ``[main, aux]``, where ``aux`` reads
-        the unmodulated fine maps."""
+        ``guide``; in train mode, ``[main, aux]``, where ``aux`` reads the
+        unmodulated fine maps."""
         levels = self._levels(f_f, f_h)
         fm = self.cff_mean(levels)
         fv = self.cff_var(levels)
         mean_maps, var_maps = guide_maps([self.sft_mean, self.sft_var], guide)
         out = [EdgeDistribution(self.mean_head(self.sft_mean(fm, *mean_maps)),
                                 dc.softplus(self.var_head(self.sft_var(fv, *var_maps))))]
-        if include_aux:
+        if self.training:
             out.append(EdgeDistribution(self.aux_mean_head(fm),
                                         dc.softplus(self.aux_var_head(fv))))
         return out

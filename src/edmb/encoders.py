@@ -1,11 +1,11 @@
 """Feature extractors: global scan encoder, windowed fine-grained encoder
 with gradient dropping, and the lightweight high-resolution CNN.
 
-The two scan encoders share an architecture (not weights): a 4x4 patch embed
-followed by three stages of bidirectional scan blocks at strides 4/8/16,
-channels doubling at each 2x2 token merge. The fine-grained encoder runs the
-same network over the four image quadrants; during training only a random
-subset of windows records gradients while all windows contribute activations.
+The two scan encoders share an architecture (not weights): a P x P patch
+embed (P = ``patch_size``) followed by three stages of bidirectional scan
+blocks at strides P/2P/4P, channels doubling at each 2x2 token merge. The
+fine-grained encoder runs the same network over the four image quadrants; in
+train mode only a random subset of windows records gradients.
 Every encoder reads its architecture from the model's ``ModelConfig``.
 Every encoder returns its feature maps as a list, finest first; a map's
 stride is the input size over its own.
@@ -19,10 +19,11 @@ from .ssm import PatchEmbed, PatchMerge, VimBlock
 
 
 class MambaEncoder(nn.Module):
-    """Three-stage token-mixing pyramid over 4x4 patches (strides 4/8/16)."""
+    """Three-stage token-mixing pyramid over P x P patches (strides P/2P/4P)."""
 
     def __init__(self, cfg, rng, base_hw=None):
         super().__init__()
+        self.multiple = cfg.size_multiple // 2
         base_hw = base_hw or cfg.base_hw
         base_grid = (base_hw[0] // cfg.patch_size, base_hw[1] // cfg.patch_size)
         self.patch = PatchEmbed(cfg.patch_size, cfg.embed_dim, base_grid, rng)
@@ -35,8 +36,8 @@ class MambaEncoder(nn.Module):
 
     def __call__(self, image):
         H, W = image.shape[2], image.shape[3]
-        if H % 16 or W % 16:
-            raise ValueError(f"encoder input {H}x{W} must be divisible by 16")
+        if H % self.multiple or W % self.multiple:
+            raise ValueError(f"encoder input {H}x{W} must be divisible by {self.multiple}")
         seq = self.patch(image)
         maps = []
         for blk in self.stage0:
@@ -80,8 +81,8 @@ def window_reassemble(tiles):
 class FineEncoder(nn.Module):
     """Shared-weight window encoder with random gradient dropping.
 
-    All four windows are always encoded (activations are complete); during
-    training exactly ``window_keep`` randomly chosen windows run with
+    All four windows are always encoded (activations are complete); in train
+    mode exactly ``window_keep`` windows, drawn from ``rng``, run with
     gradient recording, the rest run gradient-free, stacked on the batch axis
     in one pass of the network. Dropping never changes forward values, only
     which windows backpropagate.
@@ -90,15 +91,16 @@ class FineEncoder(nn.Module):
     def __init__(self, cfg, rng):
         super().__init__()
         self.keep = cfg.window_keep
+        self.multiple = cfg.size_multiple
         win_hw = (cfg.base_hw[0] // 2, cfg.base_hw[1] // 2)
         self.net = MambaEncoder(cfg, rng, base_hw=win_hw)
 
-    def __call__(self, image, training=False, rng=None):
+    def __call__(self, image, rng=None):
         H, W = image.shape[2], image.shape[3]
-        if H % 32 or W % 32:
-            raise ValueError(f"fine encoder input {H}x{W} must be divisible by 32")
+        if H % self.multiple or W % self.multiple:
+            raise ValueError(f"fine encoder input {H}x{W} must be divisible by {self.multiple}")
         windows = window_split(image)
-        if training and self.keep < 4:
+        if self.training and self.keep < 4:
             if rng is None:
                 raise ValueError("training-mode fine encoding needs an rng")
             kept = set(rng.choice(4, size=self.keep, replace=False).tolist())

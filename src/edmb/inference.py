@@ -27,10 +27,11 @@ def default_gammas():
 
 
 def predict_distribution(model, image) -> EdgeDistribution:
-    """Eval-mode (mu, var) at input resolution; auxiliary heads are skipped.
+    """(mu, var) at input resolution. Puts the model in eval mode and leaves
+    it there, so no window is dropped and the auxiliary heads are skipped.
 
-    Inputs whose sides are not multiples of 32 are reflection-padded on the
-    bottom/right and the outputs cropped back.
+    Inputs whose sides are not multiples of ``ModelConfig.size_multiple``
+    are reflection-padded on the bottom/right and the outputs cropped back.
     """
     if isinstance(image, Tensor):
         image = image.data
@@ -39,13 +40,9 @@ def predict_distribution(model, image) -> EdgeDistribution:
         arr = arr[None]
     if arr.ndim != 4 or arr.shape[1] != 3:
         raise ValueError(f"predict_distribution: expected (3,H,W) image, got {arr.shape}")
-    was_training = model.training
     model.eval()
-    try:
-        with dc.no_grad():
-            return stage_outputs(model, arr, "fine", include_aux=False)[0]
-    finally:
-        model.train(was_training)
+    with dc.no_grad():
+        return stage_outputs(model, arr, "fine")[0]
 
 
 def sample_granularity(dist: EdgeDistribution, gamma):

@@ -36,11 +36,18 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.head_blocks >= 0:
             raise ValueError(f"head_blocks must be non-negative, got {self.head_blocks}")
+        if self.patch_size % 2:  # the decoder fuses the scan maps with a stride-2 map
+            raise ValueError(f"patch_size must be even, got {self.patch_size}")
         # the fine encoder's half-size windows need at least one patch each
         hw = self.base_hw
         if not (isinstance(hw, (tuple, list)) and len(hw) == 2
                 and all(isinstance(v, int) and v >= 2 * self.patch_size for v in hw)):
             raise ValueError(f"base_hw must be two ints, each >= 2 * patch_size, got {hw!r}")
+
+    @property
+    def size_multiple(self):
+        """Input sides must be multiples of this: a fine window is half a side."""
+        return 8 * self.patch_size
 
 
 class EdgeDetector(nn.Module):
@@ -61,16 +68,16 @@ class EdgeDetector(nn.Module):
         """Stage-1 path: encode global + high-res, emit the direct edge probability."""
         return self.decoder.decode_global(self.global_enc(image), self.high_enc(image))
 
-    def forward_full(self, image, training=False, rng=None, include_aux=True):
+    def forward_full(self, image, rng=None):
         """Stage-2 path: the frozen global branch (both encoders and the guide
         fusion, run without gradients) conditions the fine distributions,
-        returned as ``LGDDecoder.decode`` returns them."""
+        returned as ``LGDDecoder.decode`` returns them. Train mode drops
+        windows (drawn from ``rng``) and adds the auxiliary distribution."""
         with dc.no_grad():
             f_g = self.global_enc(image)
             f_h = self.high_enc(image)
             guide = self.decoder.guide(f_g, f_h)
-        f_f = self.fine_enc(image, training=training, rng=rng)
-        return self.decoder.decode(guide, f_f, f_h, include_aux=include_aux)
+        return self.decoder.decode(guide, self.fine_enc(image, rng), f_h)
 
     # -- parameter grouping (freezing, optimizer membership) ---------------------
 

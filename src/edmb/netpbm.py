@@ -51,6 +51,8 @@ def read_netpbm(path):
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise ImageFormatError(f"{path}: bad header numbers") from exc
+    if w <= 0 or h <= 0:
+        raise ImageFormatError(f"{path}: bad size {w}x{h}")
     if maxval <= 0 or maxval > 65535:
         raise ImageFormatError(f"{path}: bad maxval {maxval}")
     channels = 3 if magic in (b"P3", b"P6") else 1

@@ -229,10 +229,18 @@ def load_label_maps(label_root, sid):
     return maps
 
 
+def read_text_lines(path):
+    """The lines of a UTF-8 text file; other bytes raise ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def read_id_list(path):
     """Sample ids, one per non-blank line of a UTF-8 file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [line.strip() for line in read_text_lines(path) if line.strip()]
 
 
 def load_dataset(root, list_file):
@@ -394,27 +402,26 @@ CONFIG_KEYS = {
 def parse_config(path):
     """Parse a flat UTF-8 key=value file into a TrainConfig; unknown keys fail."""
     cfg = TrainConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            dest, conv = CONFIG_KEYS[key]
-            try:
-                value = conv(raw)
-            except Exception as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
-            obj = cfg
-            parts = dest.split(".")
-            for part in parts[:-1]:
-                obj = getattr(obj, part)
-            setattr(obj, parts[-1], value)
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        dest, conv = CONFIG_KEYS[key]
+        try:
+            value = conv(raw)
+        except Exception as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
+        obj = cfg
+        parts = dest.split(".")
+        for part in parts[:-1]:
+            obj = getattr(obj, part)
+        setattr(obj, parts[-1], value)
     cfg.__post_init__()
     cfg.loss.__post_init__()
     cfg.model.__post_init__()
@@ -515,7 +522,7 @@ def load_checkpoint(path) -> Checkpoint:
 # -- padding and the stage forward -----------------------------------------------------
 
 
-def pad_to_multiple(batch, mult=32):
+def pad_to_multiple(batch, mult):
     """Reflect-pad (B,3,H,W) on the bottom/right to a size multiple."""
     H, W = batch.shape[2], batch.shape[3]
     ph = (mult - H % mult) % mult
@@ -526,15 +533,16 @@ def pad_to_multiple(batch, mult=32):
     return padded, H, W
 
 
-def stage_outputs(model, batch, stage, training=False, rng=None, include_aux=True):
+def stage_outputs(model, batch, stage, rng=None):
     """One stage's outputs for a (B,3,H,W) array, at input resolution.
 
-    The batch is reflect-padded to a multiple of 32 for the encoders, and
-    every output map is cropped back to H x W. The global stage returns the
-    edge probability map of ``forward_global``; the fine stage returns the
-    list of distributions of ``forward_full``, main first.
+    The batch is reflect-padded to a multiple of ``ModelConfig.size_multiple``
+    (32 by default) for the encoders, and every output map is cropped back to
+    H x W. The global stage returns the edge probability map of
+    ``forward_global``; the fine stage returns the list of distributions of
+    ``forward_full``, main first, which the model's mode decides.
     """
-    padded, H, W = pad_to_multiple(batch)
+    padded, H, W = pad_to_multiple(batch, model.cfg.size_multiple)
     x = Tensor(padded)
 
     def crop(t):
@@ -544,7 +552,7 @@ def stage_outputs(model, batch, stage, training=False, rng=None, include_aux=Tru
 
     if stage == "global":
         return crop(model.forward_global(x))
-    dists = model.forward_full(x, training=training, rng=rng, include_aux=include_aux)
+    dists = model.forward_full(x, rng)
     return [EdgeDistribution(crop(d.mu), crop(d.var)) for d in dists]
 
 
@@ -558,6 +566,8 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
     ``data`` is a list of DatasetSample. For the fine stage, ``init_ckpt``
     (a Checkpoint or path) restores the global-stage weights, which are then
     frozen: excluded from the optimizer and run in eval mode under no_grad.
+    Each step first sets train mode (frozen modules: eval), so ``eval_fn``
+    may change modes.
     ``resume_ckpt`` restores parameters, optimizer moments, and the step
     counter of an interrupted run of the same stage.
     """
@@ -568,7 +578,6 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
             raise ValueError("fine stage requires a global-stage checkpoint")
         if init_ckpt is not None:
             model.load_state_arrays(_as_checkpoint(init_ckpt).state)
-        model.set_frozen_eval()
         trainable = model.fine_param_names()
     else:
         trainable = model.global_param_names()
@@ -596,6 +605,9 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
     recipe = cfg.augment_recipe
 
     while step < cfg.max_steps:
+        model.train()
+        if cfg.stage == "fine":
+            model.set_frozen_eval()
         if len(order) < batch_size:
             order = list(order_rng.permutation(len(data))) + order
         picks = [order.pop() for _ in range(batch_size)]
@@ -617,7 +629,7 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
         batch = np.stack(images).astype(dc.default_dtype())
         y_batch = np.stack(ys)
         m_batch = np.stack(masks)
-        outputs = stage_outputs(model, batch, cfg.stage, training=True, rng=window_rng)
+        outputs = stage_outputs(model, batch, cfg.stage, window_rng)
         loss = stage_losses(outputs, y_batch, m_batch, cfg.loss, cfg.stage, rng=sample_rng)
         value = loss.item()
         if not np.isfinite(value):

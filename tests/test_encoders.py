@@ -84,33 +84,33 @@ class TestWindowSplit:
 class TestFineEncoder:
     def test_shapes_match_global(self, rng):
         cfg = small_cfg()
-        fine = FineEncoder(cfg, rng)
+        fine = FineEncoder(cfg, rng).eval()
         glob = MambaEncoder(cfg, rng)
         x = dc.zeros((1, 3, 64, 64))
         pf, pg = fine(x), glob(x)
         assert [m.shape for m in pf] == [m.shape for m in pg]
 
     def test_inference_is_rng_independent(self, rng):
-        fine = FineEncoder(small_cfg(), rng)
+        fine = FineEncoder(small_cfg(), rng).eval()
         x = dc.randn(rng, (1, 3, 64, 64))
-        a = fine(x, training=False)
-        b = fine(x, training=False)
+        a = fine(x)
+        b = fine(x)
         for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma.data, mb.data)
 
     def test_all_keep_equals_no_drop_bitwise(self, rng):
         fine = FineEncoder(small_cfg(window_keep=4), rng)
         x = dc.randn(rng, (1, 3, 64, 64))
-        train = fine(x, training=True, rng=np.random.default_rng(0))
-        infer = fine(x, training=False)
+        train = fine.train()(x, rng=np.random.default_rng(0))
+        infer = fine.eval()(x)
         for ma, mb in zip(train, infer):
             np.testing.assert_array_equal(ma.data, mb.data)
 
     def test_drop_changes_gradients_not_activations(self, rng):
         fine = FineEncoder(small_cfg(window_keep=1), rng)
         x = dc.randn(rng, (1, 3, 64, 64))
-        dropped = fine(x, training=True, rng=np.random.default_rng(3))
-        full = fine(x, training=False)
+        dropped = fine.train()(x, rng=np.random.default_rng(3))
+        full = fine.eval()(x)
         for ma, mb in zip(dropped, full):
             np.testing.assert_array_equal(ma.data, mb.data)
 
@@ -128,7 +128,7 @@ class TestFineEncoder:
 
         def grads_for(arr):
             fine.zero_grad()
-            pyr = fine(Tensor(arr), training=True, rng=FixedRng())
+            pyr = fine(Tensor(arr), rng=FixedRng())
             loss = sum((dc.tsum(m) for m in pyr), dc.zeros(()))
             dc.backward(loss)
             return {n: (p.grad.copy() if p.grad is not None else None)
@@ -153,7 +153,7 @@ class TestFineEncoder:
         # parameter gradient keep the bits of running each window alone
         fine = FineEncoder(small_cfg(window_keep=keep), rng)
         x = dc.randn(rng, (2, 3, 64, 64))
-        rs = [dc.randn(rng, m.shape) for m in fine(x)]
+        rs = [dc.randn(rng, m.shape) for m in fine.eval()(x)]
 
         def one_at_a_time(kept):
             per = []
@@ -174,10 +174,10 @@ class TestFineEncoder:
         kept = {0, 1, 2, 3}
         if keep < 4:
             kept = set(np.random.default_rng(5).choice(4, size=keep, replace=False).tolist())
-        got = trained(fine(x, training=True, rng=np.random.default_rng(5)))
+        got = trained(fine.train()(x, rng=np.random.default_rng(5)))
         want = trained(one_at_a_time(kept))
         with dc.no_grad():
-            got += [m.data for m in fine(x)]
+            got += [m.data for m in fine.eval()(x)]
             want += [m.data for m in one_at_a_time(set())]
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -186,7 +186,19 @@ class TestFineEncoder:
     def test_training_without_rng_rejected(self, rng):
         fine = FineEncoder(small_cfg(window_keep=1), rng)
         with pytest.raises(ValueError, match="rng"):
-            fine(dc.zeros((1, 3, 64, 64)), training=True)
+            fine.train()(dc.zeros((1, 3, 64, 64)))
+
+    @pytest.mark.parametrize("patch", [2, 4, 8])
+    def test_size_rule_follows_patch_size(self, rng, patch):
+        # sides are multiples of 8 * patch_size; the window network, which
+        # reads half-size windows, checks half of that
+        fine = FineEncoder(small_cfg(patch_size=patch), rng).eval()
+        side = 3 * 8 * patch
+        assert fine(dc.zeros((1, 3, side, side)))[0].shape[2:] == (side // patch,) * 2
+        with pytest.raises(ValueError, match=f"divisible by {8 * patch}"):
+            fine(dc.zeros((1, 3, side + 4 * patch, side)))
+        with pytest.raises(ValueError, match=f"divisible by {4 * patch}"):
+            fine.net(dc.zeros((1, 3, side // 2 + 2 * patch, side // 2)))
 
     def test_indivisible_input_rejected(self, rng):
         fine = FineEncoder(small_cfg(), rng)
@@ -197,10 +209,11 @@ class TestFineEncoder:
         model = EdgeDetector(ModelConfig(embed_dim=8, depths=(1, 1, 1), state_dim=2,
                                          decoder_ch=8, head_blocks=1, seed=5))
         x = dc.randn(rng, (1, 3, 64, 64))
-        before = [m.data.copy() for m in model.fine_enc(x, training=False)]
+        model.eval()
+        before = [m.data.copy() for m in model.fine_enc(x)]
         for _, p in model.global_enc.named_parameters():
             p.data = p.data + 1.0
-        after = model.fine_enc(x, training=False)
+        after = model.fine_enc(x)
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b.data)
 

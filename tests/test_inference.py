@@ -86,6 +86,22 @@ class TestPredictDistribution:
         assert digest.hexdigest() == (
             "4eac368f9ab57560e7e5276c5a3e5f0434c19130c5b320a3e631793cd3e6f270")
 
+    # a patch-8 model failed on 96x96 with "patch merge needs an even grid";
+    # a patch-2 model padded 48x48 to 64x64
+    @pytest.mark.parametrize("patch, side, padded", [(8, 96, 128), (8, 64, 64), (2, 48, 48)])
+    def test_pads_to_the_patch_size_multiple(self, rng, patch, side, padded):
+        model = EdgeDetector(ModelConfig(embed_dim=8, depths=(1, 1, 1), state_dim=2,
+                                         patch_size=patch, decoder_ch=8, head_blocks=1,
+                                         highres_ch=4, seed=4))
+        img = rng.random((3, side, side), dtype=np.float32)
+        dist = predict_distribution(model, img)
+        assert dist.mu.shape == (1, 1, side, side)
+        if padded == side:
+            with dc.no_grad():
+                (want,) = model.forward_full(Tensor(img[None]))
+            assert dist.mu.data.tobytes() == want.mu.data.tobytes()
+            assert dist.var.data.tobytes() == want.var.data.tobytes()
+
     def test_bad_shape_rejected(self, model):
         with pytest.raises(ValueError, match="3,H,W"):
             predict_distribution(model, np.zeros((1, 64, 64)))

@@ -9,6 +9,7 @@ from edmb import diffcore as dc
 from edmb import netpbm
 from edmb.diffcore.io import FormatError, load_tensor_file, save_tensor_file
 from edmb.diffcore.tensor import Tensor
+from edmb.inference import predict_distribution
 from edmb.loss import LossConfig
 from edmb.model import EdgeDetector, ModelConfig, model_config_from_array, model_config_to_array
 from edmb.pipeline import (
@@ -23,6 +24,7 @@ from edmb.pipeline import (
     load_dataset,
     parse_config,
     pad_to_multiple,
+    read_id_list,
     save_checkpoint,
     select_label,
     train_stage,
@@ -386,6 +388,14 @@ class TestCorruptFiles:
                     unnamed.append((what, n, "loaded"))
         assert not unnamed, unnamed[:5]
 
+    # "-2 -3" raised numpy's reshape error, a zero side loaded an empty image
+    @pytest.mark.parametrize("size", [b"-2 -3", b"0 0", b"0 4", b"4 -1"])
+    def test_netpbm_non_positive_size_is_image_format_error(self, tmp_path, size):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n" + size + b" 255\n")
+        with pytest.raises(netpbm.ImageFormatError, match="bad size"):
+            netpbm.read_netpbm(path)
+
 
 class TestConfigFile:
     def test_full_parse(self, tmp_path):
@@ -462,7 +472,8 @@ model.seed=3
     # every pixel of an all-zero label positive, loss.alpha2=nan silently
     # dropped the auxiliary ELBO, a zero width ended in ZeroDivisionError, a
     # base_hw without one patch per fine window failed at the first forward
-    # with IndexError, and a negative depth built a stage with no blocks
+    # with IndexError, a negative depth built a stage with no blocks, and an
+    # odd patch size failed in the first fusion cascade
     @pytest.mark.parametrize("line, match", [
         ("save_every=-1", "save_every"),
         ("batch_size=-2", "batch_size"),
@@ -478,6 +489,8 @@ model.seed=3
         ("model.embed_dim=0", "embed_dim"),
         ("model.state_dim=0", "state_dim"),
         ("model.patch_size=0", "patch_size"),
+        ("model.patch_size=1", "patch_size"),
+        ("model.patch_size=3", "patch_size"),
         ("model.decoder_ch=0", "decoder_ch"),
         ("model.highres_ch=0", "highres_ch"),
         ("model.head_blocks=-1", "head_blocks"),
@@ -490,6 +503,15 @@ model.seed=3
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match=match):
             parse_config(path)
+
+
+    @pytest.mark.parametrize("read", [parse_config, read_id_list])
+    def test_non_utf8_text_is_value_error(self, tmp_path, read):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"seed=1\n\xff\xfe=2\n")
+        with pytest.raises(ValueError, match="not UTF-8") as info:
+            read(path)
+        assert type(info.value) is ValueError and str(path) in str(info.value)
 
 
 class TestTrainStage:
@@ -554,6 +576,38 @@ class TestTrainStage:
         with dc.no_grad():
             aux_after = model2.forward_global(x).data
         np.testing.assert_array_equal(aux_before, aux_after)
+
+    def test_predicting_probe_leaves_frozen_buffers_unchanged(self, corpus):
+        # the probe's prediction leaves the model in eval mode; each fine step
+        # must then put the model in train mode with the frozen branch in eval
+        cfg1 = tiny_train_cfg(steps=2, seed=1)
+        ck1 = train_stage(EdgeDetector(cfg1.model), corpus, cfg1)
+        model = EdgeDetector(cfg1.model)
+
+        def probe(model_, step, history):
+            predict_distribution(model_, corpus[0].image)
+
+        train_stage(model, corpus, tiny_train_cfg(stage="fine", steps=3, seed=2),
+                    init_ckpt=ck1, eval_every=1, eval_fn=probe)
+        prefixes = tuple(f"buffer.{path}." for path in EdgeDetector.GLOBAL_BRANCH)
+        state = model.state_arrays()
+        frozen = [k for k in state if k.startswith(prefixes)]
+        assert frozen
+        for k in frozen:
+            assert state[k].tobytes() == ck1.state[k].tobytes(), k
+
+    def test_global_stage_after_fine_updates_guide_statistics(self, corpus):
+        cfg1 = tiny_train_cfg(steps=2, seed=1)
+        model = EdgeDetector(cfg1.model)
+        ck1 = train_stage(model, corpus, cfg1)
+        train_stage(model, corpus, tiny_train_cfg(stage="fine", steps=1, seed=2), init_ckpt=ck1)
+        before = model.state_arrays()
+        train_stage(model, corpus, tiny_train_cfg(steps=1, seed=3))
+        after = model.state_arrays()
+        stats = [k for k in before if k.startswith("buffer.decoder.cff_global.")]
+        assert stats
+        for k in stats:
+            assert before[k].tobytes() != after[k].tobytes(), k
 
     def test_determinism_byte_identical(self, tmp_path, corpus, f64):
         blobs = []
