@@ -92,6 +92,7 @@ def cmd_train(args):
     cfg.stage = args.stage
     if args.seed is not None:
         cfg.seed = args.seed
+    cfg.__post_init__()
     data = load_dataset(args.data, args.list_file)
     model = EdgeDetector(cfg.model)
     os.makedirs(args.out, exist_ok=True)
@@ -182,7 +183,7 @@ def cmd_bench(args):
     cfg = parse_config(args.config).model if args.config else ModelConfig()
     try:
         shape = tuple(int(x) for x in args.shape.lower().split("x"))
-        if len(shape) != 3:
+        if len(shape) != 3 or min(shape) < 1:
             raise ValueError
     except ValueError:
         print(f"bad --shape {args.shape!r}; expected CxHxW like 3x320x320", file=sys.stderr)

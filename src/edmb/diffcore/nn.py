@@ -17,14 +17,14 @@ from .tensor import Tensor
 
 
 class Module:
+    """A node of the module tree. ``named_modules`` is the one walk of it:
+    parameters, buffers, the mode and state loading share its names and order."""
+
     def __init__(self):
         self._training = True
         self._buffers = {}
 
     # -- parameter / buffer registry -------------------------------------------
-
-    def register_buffer(self, name, value):
-        self._buffers[name] = np.asarray(value, dtype=T.default_dtype())
 
     def buffer(self, name):
         return self._buffers[name]
@@ -43,22 +43,22 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
 
-    def named_parameters(self, prefix=""):
-        out = []
-        for name, value in self.__dict__.items():
-            if name.startswith("_"):
-                continue
-            if isinstance(value, Tensor) and value.requires_grad:
-                out.append((prefix + name, value))
+    def named_modules(self, prefix=""):
+        """(dotted prefix, module) for this module and every sub-module in
+        pre-order; the prefix, "" for this module, is what the names of the
+        module's parameters and buffers start with."""
+        yield prefix, self
         for name, child in self._children():
-            out.extend(child.named_parameters(prefix + name + "."))
-        return out
+            yield from child.named_modules(prefix + name + ".")
 
-    def named_buffers(self, prefix=""):
-        out = [(prefix + k, v) for k, v in self._buffers.items()]
-        for name, child in self._children():
-            out.extend(child.named_buffers(prefix + name + "."))
-        return out
+    def named_parameters(self):
+        return [(prefix + name, value)
+                for prefix, m in self.named_modules()
+                for name, value in m.__dict__.items()
+                if not name.startswith("_") and isinstance(value, Tensor) and value.requires_grad]
+
+    def named_buffers(self):
+        return [(prefix + k, v) for prefix, m in self.named_modules() for k, v in m._buffers.items()]
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -73,9 +73,8 @@ class Module:
     # -- train / eval mode ---------------------------------------------------
 
     def train(self, mode=True):
-        self._training = mode
-        for _, child in self._children():
-            child.train(mode)
+        for _, m in self.named_modules():
+            m._training = mode
         return self
 
     def eval(self):
@@ -96,18 +95,11 @@ class Module:
             out["buffer." + name] = b.astype(np.float32)
         return out
 
-    def _buffer_owners(self, prefix=""):
-        """Flat dotted-name -> (owning module, local name) map."""
-        out = {prefix + k: (self, k) for k in self._buffers}
-        for name, child in self._children():
-            out.update(child._buffer_owners(prefix + name + "."))
-        return out
-
     def load_state_arrays(self, arrays):
         """Load every parameter and buffer; unknown, missing or mis-shaped
         entries raise."""
         params = dict(self.named_parameters())
-        owners = self._buffer_owners()
+        owners = {prefix + k: (m, k) for prefix, m in self.named_modules() for k in m._buffers}
         dt = T.default_dtype()
         seen = set()
         for key, arr in arrays.items():
@@ -198,8 +190,8 @@ class Norm2d(Module):
         self.relu = relu
         self.gamma = T.parameter(np.ones(channels))
         self.beta = T.parameter(np.zeros(channels))
-        self.register_buffer("running_mean", np.zeros(channels))
-        self.register_buffer("running_var", np.ones(channels))
+        self.set_buffer("running_mean", np.zeros(channels))
+        self.set_buffer("running_var", np.ones(channels))
 
     def __call__(self, x):
         x, dt = T.as_tensor(x), T.default_dtype()

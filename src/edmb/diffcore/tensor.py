@@ -508,7 +508,7 @@ def _im2col(x, kh, kw, stride, pad, out=None, rows=None):
     return cols.reshape(B, C * kh * kw, (i1 - i0) * Wo), Ho, Wo
 
 
-def _conv2d_dense_raw(x, w, stride, pad, bias=None, keep=False):
+def _conv2d_dense_raw(x, w, stride, pad, keep=False):
     """Dense conv as ``w.reshape(Co, K) @ cols`` per batch item; with ``keep``
     also returns the (B, K, Ho*Wo) columns for the weight gradient. Without
     it, the columns of blocks of output rows (~1M elements, 4 MB in float32)
@@ -531,8 +531,6 @@ def _conv2d_dense_raw(x, w, stride, pad, bias=None, keep=False):
             i1 = min(Ho, i0 + rows)
             blk, _, _ = _im2col(x[b : b + 1], kh, kw, stride, (ph, pw), cols[b if keep else 0], (i0, i1))
             np.matmul(wm, blk[0], out=out[b, :, i0 * Wo : i1 * Wo])
-    if bias is not None:
-        out += bias[:, None]
     return out.reshape(B, Co, Ho, Wo), cols.reshape(B, K, Ho * Wo) if keep else None
 
 
@@ -549,7 +547,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     """2-D cross-correlation.
 
     ``x``: (B,C,H,W); ``weight``: (Co, C/groups, kh, kw) with odd kh, kw;
-    ``bias``: (Co,) or None. groups is 1 (dense) or C==Co (depthwise).
+    ``bias``: (Co,) or None. groups is 1 (dense) or C==Co (depthwise, stride
+    1). A 1x1 dense conv at stride 1 without padding is one matmul. Each of
+    the three kinds returns its output and the adjoint of x and weight; this
+    one node adds the bias, counts the MACs and records the op.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     bias = as_tensor(bias) if bias is not None else None
@@ -568,46 +569,50 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
 
     if groups == 1:
         if Cw != C:
-            raise ValueError(
-                f"conv2d: weight in-channels {Cw} != input channels {C}"
-            )
-        _count_macs(B * Ho * Wo * Co * C * kh * kw)
-        if kh == kw == 1 and stride == 1 and padding == 0:
-            return _conv2d_1x1(x, weight, bias)
-        bias_data = None if bias is None else bias.data
-        keep = grad_enabled() and weight.requires_grad
-        out, cols = _conv2d_dense_raw(x.data, weight.data, stride, padding, bias_data, keep)
-
-        def vjp(g):
-            gx = gw = None
-            if x.requires_grad:
-                # correlate the dilated grad with the channel-swapped flipped kernel
-                gd = _dilate(g, stride)
-                wfl = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gx, _ = _conv2d_dense_raw(
-                    gd, np.ascontiguousarray(wfl), 1, (kh - 1 - padding, kw - 1 - padding)
-                )
-                gx = gx[:, :, :H, :W]
-            if weight.requires_grad:
-                g2 = g.reshape(B, Co, Ho * Wo)
-                gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-            gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
-            return (gx, gw, gb) if bias is not None else (gx, gw)
-
-        parents = (x, weight, bias) if bias is not None else (x, weight)
-        return make_op(out, parents, vjp, "conv2d")
-    if groups == C and Co == C and Cw == 1:
-        return _depthwise_conv2d(x, weight, bias, stride, padding, H, W, Ho, Wo)
-    raise ValueError(f"conv2d: unsupported groups={groups} for C={C}, Co={Co}")
+            raise ValueError(f"conv2d: weight in-channels {Cw} != input channels {C}")
+        pointwise = kh == kw == 1 and stride == 1 and padding == 0
+        kind = _conv2d_1x1 if pointwise else _conv2d_dense
+    elif groups == C and Co == C and Cw == 1:
+        if stride != 1:
+            raise ValueError("depthwise conv2d supports stride 1 only")
+        kind = _depthwise_conv2d
+    else:
+        raise ValueError(f"conv2d: unsupported groups={groups} for C={C}, Co={Co}")
+    _count_macs(B * Ho * Wo * Co * Cw * kh * kw)
+    out, kind_vjp = kind(x, weight, stride, padding)
+    if bias is None:
+        return make_op(out, (x, weight), kind_vjp, "conv2d")
+    out += bias.data.reshape(1, Co, 1, 1)
+    return make_op(out, (x, weight, bias), lambda g: (*kind_vjp(g), g.sum(axis=(0, 2, 3))), "conv2d")
 
 
-def _conv2d_1x1(x, weight, bias):
+def _conv2d_dense(x, weight, stride, padding):
+    B, C, H, W = x.shape
+    Co, _, kh, kw = weight.shape
+    keep = grad_enabled() and weight.requires_grad
+    out, cols = _conv2d_dense_raw(x.data, weight.data, stride, padding, keep)
+
+    def vjp(g):
+        gx = gw = None
+        if x.requires_grad:
+            # correlate the dilated grad with the channel-swapped flipped kernel
+            gd = _dilate(g, stride)
+            wfl = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx, _ = _conv2d_dense_raw(gd, np.ascontiguousarray(wfl), 1, (kh - 1 - padding, kw - 1 - padding))
+            gx = gx[:, :, :H, :W]
+        if weight.requires_grad:
+            g2 = g.reshape(B, Co, -1)
+            gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        return gx, gw
+
+    return out, vjp
+
+
+def _conv2d_1x1(x, weight, stride, padding):
     B, C, H, W = x.shape
     Co = weight.shape[0]
     wmat = weight.data.reshape(Co, C)
     out = np.matmul(wmat, x.data.reshape(B, C, H * W)).reshape(B, Co, H, W)
-    if bias is not None:
-        out = out + bias.data.reshape(1, Co, 1, 1)
 
     def vjp(g):
         g2 = g.reshape(B, Co, H * W)
@@ -616,53 +621,40 @@ def _conv2d_1x1(x, weight, bias):
         if weight.requires_grad:
             xt = x.data.reshape(B, C, H * W).transpose(0, 2, 1)
             gw = np.matmul(g2, xt).sum(axis=0).reshape(weight.shape)
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        return gx, gw
 
-    parents = (x, weight, bias) if bias is not None else (x, weight)
-    return make_op(out, parents, vjp, "conv2d")
+    return out, vjp
 
 
-def _depthwise_taps(wk, src, dst, pad, scatter):
-    """dst += wk[:, u, v] * src over the kernel taps of (B*C) planes, with the
-    input shifted by the tap: src (forward) or, with ``scatter``, dst (input
-    gradient). Blocks of ~64K output elements reuse, in cache, one product
-    buffer and one padded scratch whose border is zeroed once: the forward
-    copies each input block into its interior, the gradient scatters into it
-    and copies the interior out. The tap order is that of one full-size
-    product per tap, so every sum keeps its bits."""
+def _depthwise_taps(wk, src, dst, pad):
+    """dst += wk[:, u, v] * src shifted by the tap (u, v), over the kernel
+    taps of (B*C) planes, with src zero-padded by ``pad`` = (ph, pw) rows
+    and columns. Blocks of ~64K output elements reuse, in cache, one product
+    buffer and one padded scratch whose border is zeroed once, into whose
+    interior each input block is copied. The tap order is that of one
+    full-size product per tap, so every sum keeps its bits."""
     kh, kw = wk.shape[1:]
-    (H, W), (Ho, Wo) = (dst.shape[1:], src.shape[1:]) if scatter else (src.shape[1:], dst.shape[1:])
+    (ph, pw), (H, W), (Ho, Wo) = pad, src.shape[1:], dst.shape[1:]
     cb = min(len(wk), max(1, (1 << 16) // (Ho * Wo)))
     buf = np.empty((cb, Ho, Wo), dtype=np.result_type(wk, src))
-    padded = np.zeros((cb, H + 2 * pad, W + 2 * pad), dtype=(dst if scatter else src).dtype)
-    inner = (slice(None), slice(pad, pad + H), slice(pad, pad + W))
+    padded = np.zeros((cb, H + 2 * ph, W + 2 * pw), dtype=src.dtype)
+    inner = (slice(None), slice(ph, ph + H), slice(pw, pw + W))
     for c0 in range(0, len(wk), cb):
-        w, s, d = wk[c0 : c0 + cb], src[c0 : c0 + cb], dst[c0 : c0 + cb]
+        w, d = wk[c0 : c0 + cb], dst[c0 : c0 + cb]
         tb, pb = buf[: len(w)], padded[: len(w)]
-        if not scatter:
-            pb[inner] = s
+        pb[inner] = src[c0 : c0 + cb]
         for u in range(kh):
             for v in range(kw):
-                win = (slice(None), slice(u, u + Ho), slice(v, v + Wo))
-                np.multiply(w[:, u, v, None, None], s if scatter else pb[win], out=tb)
-                acc = pb[win] if scatter else d
-                acc += tb
-        if scatter:
-            d[...] = pb[inner]
-            pb.fill(0)
+                np.multiply(w[:, u, v, None, None], pb[:, u : u + Ho, v : v + Wo], out=tb)
+                d += tb
 
 
-def _depthwise_conv2d(x, weight, bias, stride, pad, H, W, Ho, Wo):
-    (B, C), (kh, kw) = x.shape[:2], weight.shape[2:]
-    if stride != 1:
-        raise ValueError("depthwise conv2d supports stride 1 only")
+def _depthwise_conv2d(x, weight, stride, pad):
+    (B, C, H, W), (kh, kw) = x.shape, weight.shape[2:]
+    Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
     wk = np.tile(weight.data[:, 0], (B, 1, 1))  # (B*C,kh,kw), plane b*C+c
     out = np.zeros((B, C, Ho, Wo), dtype=x.data.dtype)
-    _depthwise_taps(wk, x.data.reshape(B * C, H, W), out.reshape(B * C, Ho, Wo), pad, False)
-    if bias is not None:
-        out += bias.data.reshape(1, C, 1, 1)
-    _count_macs(B * Ho * Wo * C * kh * kw)
+    _depthwise_taps(wk, x.data.reshape(B * C, H, W), out.reshape(B * C, Ho, Wo), (pad, pad))
 
     def vjp(g):
         # gw keeps the full-size (0,2,3) reduction, whose order sets its bits
@@ -674,13 +666,17 @@ def _depthwise_conv2d(x, weight, bias, stride, pad, H, W, Ho, Wo):
                 np.multiply(xp[:, :, u : u + Ho, v : v + Wo], g, out=prod)
                 gw[:, 0, u, v] = prod.sum(axis=(0, 2, 3))
         del xp, prod
-        gx = np.empty((B, C, H, W), dtype=x.data.dtype)
-        _depthwise_taps(wk, g.reshape(B * C, Ho, Wo), gx.reshape(B * C, H, W), pad, True)
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        # gx is the forward taps over g turned 180 degrees, padded by k-1-pad
+        # per axis (cropped where that is negative), turned back. Each sum
+        # adds from +0.0 the taps a scatter of g would add, in its order, so
+        # the extra +-0 border terms change no bit.
+        ch, cw = max(0, pad + 1 - kh), max(0, pad + 1 - kw)
+        gt = g.reshape(B * C, Ho, Wo)[:, ch : Ho - ch, cw : Wo - cw][:, ::-1, ::-1]
+        gx = np.zeros((B * C, H, W), dtype=x.data.dtype)
+        _depthwise_taps(wk, gt, gx, (kh - 1 - pad + ch, kw - 1 - pad + cw))
+        return gx[:, ::-1, ::-1].reshape(B, C, H, W), gw
 
-    parents = (x, weight, bias) if bias is not None else (x, weight)
-    return make_op(out, parents, vjp, "conv2d")
+    return out, vjp
 
 
 def max_pool2d(x, kernel=2):

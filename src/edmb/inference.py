@@ -38,8 +38,8 @@ def predict_distribution(model, image) -> EdgeDistribution:
     arr = np.asarray(image, dtype=dc.default_dtype())
     if arr.ndim == 3:
         arr = arr[None]
-    if arr.ndim != 4 or arr.shape[1] != 3:
-        raise ValueError(f"predict_distribution: expected (3,H,W) image, got {arr.shape}")
+    if arr.ndim != 4 or arr.shape[1] != 3 or 0 in arr.shape:
+        raise ValueError(f"predict_distribution: expected (3,H,W) image, H, W >= 1, got {arr.shape}")
     model.eval()
     with dc.no_grad():
         return stage_outputs(model, arr, "fine")[0]

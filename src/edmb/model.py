@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,9 @@ class ModelConfig:
         for name in ("embed_dim", "state_dim", "patch_size", "decoder_ch", "highres_ch"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.head_blocks >= 0:
-            raise ValueError(f"head_blocks must be non-negative, got {self.head_blocks}")
+        for name in ("head_blocks", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.patch_size % 2:  # the decoder fuses the scan maps with a stride-2 map
             raise ValueError(f"patch_size must be even, got {self.patch_size}")
         # the fine encoder's half-size windows need at least one patch each
@@ -95,8 +95,10 @@ class EdgeDetector(nn.Module):
 
     def set_frozen_eval(self):
         """Put the ``GLOBAL_BRANCH`` modules in eval mode (fixed norm statistics)."""
-        for path in self.GLOBAL_BRANCH:
-            functools.reduce(getattr, path.split("."), self).eval()
+        prefixes = tuple(path + "." for path in self.GLOBAL_BRANCH)
+        for prefix, m in self.named_modules():
+            if prefix in prefixes:
+                m.eval()
 
 
 def build_model(cfg: ModelConfig) -> EdgeDetector:

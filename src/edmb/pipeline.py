@@ -27,7 +27,7 @@ from .decoder import EdgeDistribution
 from .diffcore.io import FormatError, read_tensor, write_tensor
 from .diffcore.tensor import Tensor, bilinear_resize_raw, bilinear_sampler
 from .loss import LossConfig, stage_losses
-from .model import EdgeDetector, ModelConfig
+from .model import EdgeDetector, ModelConfig, model_config_from_array, model_config_to_array
 
 log = logging.getLogger("edmb.train")
 
@@ -318,11 +318,23 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays):
-        self.t = int(arrays["t"][0])
-        for name in self.m:
-            if "m." + name in arrays:
-                self.m[name] = arrays["m." + name].astype(np.float64)
-                self.v[name] = arrays["v." + name].astype(np.float64)
+        """Load ``state_arrays`` output. A step count that is not one finite
+        value, or a moment pair with an entry missing or not of its
+        parameter's shape, raises FormatError naming the entry."""
+        t = arrays.get("t")
+        if t is None or t.size != 1 or not np.isfinite(t).all():
+            raise FormatError(f"optimizer state entry 't' must be one finite value, got {t!r}")
+        loaded = [(name, p) for name, p, _ in self.groups if "m." + name in arrays]
+        for name, p in loaded:
+            for key in ("m." + name, "v." + name):
+                shape = arrays[key].shape if key in arrays else None
+                if shape != p.shape:
+                    raise FormatError(f"optimizer state entry {key!r} must have its "
+                                      f"parameter's shape {p.shape}, got {shape}")
+        self.t = int(t.reshape(-1)[0])
+        for name, _ in loaded:
+            self.m[name] = arrays["m." + name].astype(np.float64)
+            self.v[name] = arrays["v." + name].astype(np.float64)
 
 
 # -- training configuration ----------------------------------------------------------
@@ -346,11 +358,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in ("global", "fine"):
             raise ValueError(f"stage must be global or fine, got {self.stage!r}")
-        if not self.lr > 0:
-            raise ValueError("learning rate must be positive")
-        for name in ("batch_size", "max_steps", "save_every", "weight_decay"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr (the learning rate) must be positive and finite, got {self.lr}")
+        for name in ("batch_size", "max_steps", "save_every", "weight_decay", "seed"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
         if not 0 < self.mixed_threshold <= 1:
             raise ValueError(f"mixed_threshold must lie in (0, 1], got {self.mixed_threshold}")
         if self.label_mode not in ("random", "mixed"):
@@ -447,8 +459,6 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path):
     """Atomic binary save: magic, version, count, then named tensor entries.
     The temporary file is synced to disk before it replaces ``path``."""
-    from .model import model_config_to_array
-
     entries = []
     for name, arr in ckpt.state.items():
         entries.append((name, arr))
@@ -509,8 +519,6 @@ def load_checkpoint(path) -> Checkpoint:
                     raise FormatError(f"{path}: meta.fingerprint is not ASCII")
                 fingerprint = bytes(arr.astype(np.uint8)).decode("ascii")
             elif name == "meta.model":
-                from .model import model_config_from_array
-
                 model_cfg = model_config_from_array(arr)
             elif name.startswith("adam."):
                 opt_state[name[len("adam."):]] = arr

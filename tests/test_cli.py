@@ -71,6 +71,16 @@ class TestExitCodes:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    # --seed is applied after the config checks, so -1 reached numpy's
+    # "expected non-negative integer", which names no field
+    def test_negative_seed_override_exits_1_naming_seed(self, workspace, tmp_path, capsys):
+        data = workspace["data"]
+        rc = main(["train", "--stage", "global", "--config", str(workspace["cfg"]),
+                   "--data", str(data), "--list", str(data / "list.txt"),
+                   "--out", str(tmp_path / "run"), "--seed", "-1"])
+        assert rc == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+
 
 class TestInferSweep:
     def test_infer_default_gamma_matches_sweep_zero(self, workspace, tmp_path):
@@ -204,6 +214,12 @@ class TestBench:
 
     def test_bad_shape_exits_2(self, capsys):
         assert main(["bench", "--shape", "64x64"]) == 2
+
+    # 3x0x64 printed "error: division by zero" from the depthwise conv
+    @pytest.mark.parametrize("shape", ["3x0x64", "3x64x-8", "0x64x64"])
+    def test_non_positive_side_exits_2(self, capsys, shape):
+        assert main(["bench", "--shape", shape]) == 2
+        assert "bad --shape" in capsys.readouterr().err
 
 
 class TestCheckCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -166,16 +167,22 @@ class TestConv2d:
         with pytest.raises(ValueError, match="padding must be an int >= 0, got -1"):
             dc.conv2d(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 3, 3)), None, 1, -1)
 
-    @pytest.mark.parametrize("k,pad", [(1, 1), (3, 3)])
-    def test_input_gradient_with_pad_beyond_kernel(self, rng, f64, k, pad):
+    @pytest.mark.parametrize("k,pad,groups", [
+        pytest.param(1, 1, 1, id="1-1"),
+        pytest.param(3, 3, 1, id="3-3"),
+        pytest.param(1, 1, 2, id="depthwise-1-1"),
+        pytest.param(3, 3, 2, id="depthwise-3-3"),
+    ])
+    def test_input_gradient_with_pad_beyond_kernel(self, rng, f64, k, pad, groups):
         # the adjoint conv runs at padding k - 1 - pad < 0, which crops
         x = rng.standard_normal((1, 2, 3, 4))
-        w = rng.standard_normal((3, 2, k, k))
-        r = rng.standard_normal(conv2d_loop(x, w, None, 1, pad).shape)
+        w = rng.standard_normal((3, 2, k, k) if groups == 1 else (2, 1, k, k))
+        dense_w = w if groups == 1 else np.einsum("cd,cuv->cduv", np.eye(2), w[:, 0])
+        r = rng.standard_normal(conv2d_loop(x, dense_w, None, 1, pad).shape)
         xt = Tensor(x, requires_grad=True)
-        dc.backward(dc.tsum(dc.mul(dc.conv2d(xt, Tensor(w), None, 1, pad), Tensor(r))))
+        dc.backward(dc.tsum(dc.mul(dc.conv2d(xt, Tensor(w), None, 1, pad, groups), Tensor(r))))
         basis = np.eye(x.size).reshape((x.size,) + x.shape)
-        want = np.array([(conv2d_loop(e[None], w, None, 1, pad) * r).sum() for e in basis[:, 0]])
+        want = np.array([(conv2d_loop(e[None], dense_w, None, 1, pad) * r).sum() for e in basis[:, 0]])
         np.testing.assert_allclose(xt.grad.reshape(-1), want, atol=1e-12)
 
     def test_no_grad_depthwise_allocates_output_and_one_block(self, rng):
@@ -283,13 +290,15 @@ class TestExactKernels:
         ((2, 3, 40, 40), 3, 0),
         ((1, 6, 50, 50), 5, 2),
         ((2, 7, 120, 90), 5, 1),
+        ((1, 5, 150, 150), (3, 5), 1),  # the adjoint pads 1 row and 3 columns
     ])
     def test_depthwise_blocks_match_tap_loop_bitwise(self, rng, shape, k, pad):
         C = shape[1]
+        kh, kw = (k, k) if isinstance(k, int) else k
         x = dc.randn(rng, shape, requires_grad=True)
         x.data[:, :, [0, -1]] = -0.0  # -0.0 on the border rows and columns
         x.data[:, :, :, [0, -1]] = -0.0
-        w = dc.randn(rng, (C, 1, k, k), requires_grad=True)
+        w = dc.randn(rng, (C, 1, kh, kw), requires_grad=True)
         w.data[::2] = -np.abs(w.data[::2])  # every weight of the even channels negative
         with dc.no_grad():
             no_grad_out = dc.conv2d(x, w, None, 1, pad, C)
@@ -301,7 +310,7 @@ class TestExactKernels:
         Ho, Wo = out.shape[2:]
         xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         ref_gw = np.stack([[(xp[:, :, u : u + Ho, v : v + Wo] * g.data).sum(axis=(0, 2, 3))
-                            for v in range(k)] for u in range(k)]).transpose(2, 0, 1)[:, None]
+                            for v in range(kw)] for u in range(kh)]).transpose(2, 0, 1)[:, None]
         assert np.array_equal(bits(no_grad_out.data), bits(ref_out))
         assert np.array_equal(bits(out.data), bits(ref_out))
         assert np.array_equal(bits(x.grad), bits(ref_gx))
@@ -335,9 +344,8 @@ class TestExactKernels:
         # the blocks of output rows do not divide Ho (160 and 100 here)
         x = rng.standard_normal(shape).astype(np.float32)
         w = rng.standard_normal((32, shape[1], 3, 3)).astype(np.float32)
-        b = rng.standard_normal(32).astype(np.float32)
-        kept, cols = _conv2d_dense_raw(x, w, stride, 1, b, keep=True)
-        blocked, no_cols = _conv2d_dense_raw(x, w, stride, 1, b)
+        kept, cols = _conv2d_dense_raw(x, w, stride, 1, keep=True)
+        blocked, no_cols = _conv2d_dense_raw(x, w, stride, 1)
         assert no_cols is None and cols.shape == (1, 32 * 9, kept.shape[2] * kept.shape[3])
         assert np.array_equal(bits(blocked), bits(kept))
 
@@ -352,17 +360,41 @@ class TestExactKernels:
         x = rng.standard_normal(shape).astype(np.float32)
         x[:, :, -1] = -0.0
         w = rng.standard_normal((32, shape[1], 3, 3)).astype(np.float32)
-        b = rng.standard_normal(32).astype(np.float32)
-        kept, cols = _conv2d_dense_raw(x, w, stride, pad, b, keep=True)
-        blocked, _ = _conv2d_dense_raw(x, w, stride, pad, b)
+        kept, cols = _conv2d_dense_raw(x, w, stride, pad, keep=True)
+        blocked, _ = _conv2d_dense_raw(x, w, stride, pad)
         ph, pw = (pad, pad) if isinstance(pad, int) else pad
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
         ref_cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(cols.shape)
-        ref = (np.matmul(w.reshape(32, -1), ref_cols) + b[:, None]).reshape(blocked.shape)
+        ref = np.matmul(w.reshape(32, -1), ref_cols).reshape(blocked.shape)
         assert np.array_equal(bits(cols), bits(ref_cols))
         assert np.array_equal(bits(kept), bits(ref))
         assert np.array_equal(bits(blocked), bits(ref))
+
+    @pytest.mark.bits
+    def test_conv_outputs_and_gradients_pinned(self):
+        # output and x, w, b gradients of dense 3x3 at stride 1 and 2, 1x1,
+        # and depthwise 3x3, 5x5 and 3x5, each with and without bias, in
+        # float32 and float64, at B = 1 and 3
+        kinds = [((4, 6, 3, 3), 1, 1, 1), ((4, 6, 3, 3), 2, 1, 1), ((5, 6, 1, 1), 1, 0, 1),
+                 ((6, 1, 3, 3), 1, 1, 6), ((6, 1, 5, 5), 1, 2, 6), ((6, 1, 3, 5), 1, 1, 6)]
+        rng = np.random.default_rng(18)
+        digest = hashlib.sha256()
+        for dtype in ("float32", "float64"):
+            with dc.precision(dtype):
+                for B in (1, 3):
+                    for w_shape, stride, pad, groups in kinds:
+                        for with_bias in (False, True):
+                            x = dc.randn(rng, (B, 6, 9, 11), requires_grad=True)
+                            w = dc.randn(rng, w_shape, requires_grad=True)
+                            b = dc.randn(rng, w_shape[:1], requires_grad=True) if with_bias else None
+                            out = dc.conv2d(x, w, b, stride, pad, groups)
+                            dc.backward(dc.tsum(dc.mul(out, dc.randn(rng, out.shape))))
+                            digest.update(out.data.tobytes() + x.grad.tobytes() + w.grad.tobytes())
+                            if with_bias:
+                                digest.update(b.grad.tobytes())
+        assert digest.hexdigest() == (
+            "f50fd407bd8fd1401aa000a165644ecbadacdf9b94627e37eed3312d0c609e59")
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_relu_special_values_bitwise(self, dtype):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,12 @@ class TestPredictDistribution:
     def test_bad_shape_rejected(self, model):
         with pytest.raises(ValueError, match="3,H,W"):
             predict_distribution(model, np.zeros((1, 64, 64)))
+
+    # a side of 0 ended in ZeroDivisionError inside the depthwise conv
+    @pytest.mark.parametrize("shape", [(1, 3, 0, 64), (1, 3, 64, 0), (0, 3, 64, 64)])
+    def test_empty_image_rejected_naming_the_shape(self, model, shape):
+        with pytest.raises(ValueError, match=re.escape(f"H, W >= 1, got {shape}")):
+            predict_distribution(model, np.zeros(shape, dtype=np.float32))
 
 
 class TestSampleGranularity:

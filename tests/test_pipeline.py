@@ -13,6 +13,7 @@ from edmb.inference import predict_distribution
 from edmb.loss import LossConfig
 from edmb.model import EdgeDetector, ModelConfig, model_config_from_array, model_config_to_array
 from edmb.pipeline import (
+    Adam,
     Checkpoint,
     DatasetSample,
     RECIPES,
@@ -313,6 +314,27 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="meta.step"):
             load_checkpoint(path)
 
+    def test_adam_state_without_step_count_is_format_error(self):
+        # a bare KeyError: 't' before
+        p = Tensor(np.zeros((4, 3)), requires_grad=True)
+        opt = Adam([("w", p, 1e-3)])
+        state = opt.state_arrays()
+        del state["t"]
+        with pytest.raises(FormatError, match="'t'"):
+            opt.load_state_arrays(state)
+
+    @pytest.mark.parametrize("key", ["m.w", "v.w"])
+    def test_adam_moment_of_wrong_shape_is_format_error(self, key):
+        # a (2,4,3) moment was taken as it was, and the next step turned the
+        # (4,3) parameter into shape (2,4,3)
+        p = Tensor(np.zeros((4, 3)), requires_grad=True)
+        opt = Adam([("w", p, 1e-3)])
+        state = opt.state_arrays()
+        state[key] = np.zeros((2, 4, 3), dtype=np.float32)
+        with pytest.raises(FormatError, match=f"'{key}'.*\\(2, 4, 3\\)"):
+            opt.load_state_arrays(state)
+        assert opt.m["w"].shape == opt.v["w"].shape == (4, 3)
+
     @pytest.mark.bits
     def test_demo_model_state_pinned(self):
         # names, shapes and initial values of the README demo model, in name
@@ -468,6 +490,8 @@ model.seed=3
         assert parse_config(path).loss.literal_weights is value
 
     # each was accepted before: save_every=-1 saved at every step, a negative
+    # seed failed in numpy naming no field, an infinite lr or weight decay
+    # was taken as it was, a negative
     # batch size fell back to the stage default, mixed_threshold=0 made
     # every pixel of an all-zero label positive, loss.alpha2=nan silently
     # dropped the auxiliary ELBO, a zero width ended in ZeroDivisionError, a
@@ -483,6 +507,10 @@ model.seed=3
         ("mixed_threshold=0", "mixed_threshold"),
         ("mixed_threshold=1.5", "mixed_threshold"),
         ("lr=nan", "learning rate"),
+        ("lr=inf", "lr"),
+        ("weight_decay=inf", "weight_decay"),
+        ("seed=-1", "seed"),
+        ("model.seed=-1", "seed"),
         ("loss.lambda=nan", "lam"),
         ("loss.varphi=nan", "varphi"),
         ("loss.alpha2=nan", "alpha2"),
