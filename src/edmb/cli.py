@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -136,6 +137,17 @@ def cmd_sweep(args):
     return 0
 
 
+def _is_sweep_map(name, sid):
+    """``<sid>_g<gamma>.pgm`` with a finite gamma: one map of ``sid``'s sweep."""
+    head, tail = sid + "_g", ".pgm"
+    if not (name.startswith(head) and name.endswith(tail)):
+        return False
+    try:
+        return math.isfinite(float(name[len(head) : -len(tail)]))
+    except ValueError:
+        return False
+
+
 def cmd_eval(args):
     from . import netpbm
     from .eval import eval_multigranularity, f_curve, nms_thin
@@ -155,10 +167,7 @@ def cmd_eval(args):
     if args.multigranularity:
         sets = []
         for sid, gt in zip(ids, gts):
-            files = sorted(
-                f for f in os.listdir(args.pred)
-                if f.startswith(sid + "_g") and f.endswith(".pgm")
-            )
+            files = sorted(f for f in os.listdir(args.pred) if _is_sweep_map(f, sid))
             if not files:
                 raise FileNotFoundError(f"no sweep maps for {sid!r} under {args.pred}")
             sets.append([prep(sid, gt, os.path.join(args.pred, f)) for f in files])

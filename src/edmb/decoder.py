@@ -77,7 +77,7 @@ class CFF(nn.Module):
             if H % h or W % w or H // h != W // w:
                 raise ValueError(f"cff: level {H}x{W} is not one integer factor "
                                  f"larger than {h}x{w} on both axes")
-            current = fuse(dc.concat([dc.bilinear_upsample(current, H // h), finer], axis=1))
+            current = fuse(dc.concat([dc.bilinear_resize(current, H, W), finer], axis=1))
         return current
 
 
@@ -113,7 +113,7 @@ def guide_maps(sfts, guide):
     weights and biases are the modules' own, concatenated at call time."""
     convs = [conv for sft in sfts for conv in (sft.scale1, sft.shift1)]
     pre = dc.conv2d(guide, dc.concat([c.weight for c in convs], axis=0),
-                    dc.concat([c.bias for c in convs], axis=0), 1, convs[0].padding)
+                    dc.concat([c.bias for c in convs], axis=0))
     maps, start = [], 0
     for conv in convs:
         maps.append(dc.narrow(pre, 1, start, conv.weight.shape[0]))

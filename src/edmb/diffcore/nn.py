@@ -137,11 +137,11 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """Stride-1 convolution with "same" padding and He-normal weights."""
+    """Stride-1 convolution with "same" padding, ``conv2d``'s one geometry,
+    and He-normal weights."""
 
     def __init__(self, in_ch, out_ch, kernel, rng, groups=1, bias=True):
         super().__init__()
-        self.padding = kernel // 2
         self.groups = groups
         fan_in = (in_ch // groups) * kernel * kernel
         s = math.sqrt(2.0 / fan_in)
@@ -150,7 +150,7 @@ class Conv2d(Module):
         self.bias = T.parameter(np.zeros(out_ch)) if bias else None
 
     def __call__(self, x):
-        return T.conv2d(x, self.weight, self.bias, 1, self.padding, self.groups)
+        return T.conv2d(x, self.weight, self.bias, groups=self.groups)
 
 
 class LayerNorm(Module):

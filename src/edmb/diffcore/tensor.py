@@ -10,23 +10,24 @@ by default; switch to 64-bit (``precision("float64")``) for verification.
 from __future__ import annotations
 
 import contextlib
-import threading
 
 import numpy as np
 from scipy.special import expit
 
-_state = threading.local()
+
+class _State:
+    """Module-wide settings: diffcore runs on one thread."""
+
+    dtype = np.float32
+    grad_enabled = True
+    macs = None  # MACs counted since profile_macs_start, None when not profiling
 
 
-def _st():
-    if not hasattr(_state, "dtype"):
-        _state.dtype = np.float32
-        _state.grad_enabled = True
-    return _state
+_state = _State()
 
 
 def default_dtype():
-    return _st().dtype
+    return _state.dtype
 
 
 def set_default_dtype(dtype):
@@ -34,35 +35,33 @@ def set_default_dtype(dtype):
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _st().dtype = dt.type
+    _state.dtype = dt.type
 
 
 @contextlib.contextmanager
 def precision(dtype):
     """Temporarily switch the default dtype (e.g. 'float64' for fd checks)."""
-    st = _st()
-    prev = st.dtype
+    prev = _state.dtype
     set_default_dtype(dtype)
     try:
         yield
     finally:
-        st.dtype = prev
+        _state.dtype = prev
 
 
 def grad_enabled():
-    return _st().grad_enabled
+    return _state.grad_enabled
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording; forward values are unchanged."""
-    st = _st()
-    prev = st.grad_enabled
-    st.grad_enabled = False
+    prev = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        st.grad_enabled = prev
+        _state.grad_enabled = prev
 
 
 class Tensor:
@@ -444,22 +443,18 @@ def matmul(a, b):
 
 # -- convolution ------------------------------------------------------------------
 
-_mac_counter = threading.local()
-
-
 def profile_macs_start():
-    _mac_counter.count = 0
-    _mac_counter.active = True
+    _state.macs = 0
 
 
 def profile_macs_stop():
-    _mac_counter.active = False
-    return int(getattr(_mac_counter, "count", 0))
+    n, _state.macs = _state.macs, None
+    return n or 0
 
 
 def _count_macs(n):
-    if getattr(_mac_counter, "active", False):
-        _mac_counter.count += int(n)
+    if _state.macs is not None:
+        _state.macs += int(n)
 
 
 def count_matmul_macs(a_shape, b_shape):
@@ -472,85 +467,64 @@ def count_matmul_macs(a_shape, b_shape):
     _count_macs(batch * m * k * n)
 
 
-def _conv_out_size(H, k, stride, pad):
-    num = H + 2 * pad - k
-    if num % stride != 0:
-        raise ValueError(
-            f"conv2d: spatial size {H} with kernel {k}, stride {stride}, pad {pad} "
-            f"does not tile evenly"
-        )
-    return num // stride + 1
-
-
-def _im2col(x, kh, kw, stride, pad, out=None, rows=None):
-    """(B, C*kh*kw, n*Wo) patch columns of the n output rows ``rows`` = (i0, i1),
-    all Ho by default, ordered (C, kh, kw), into the flat buffer ``out`` if
-    given. Each tap's plane is one strided copy of the unpadded NCHW input
-    plus zeroed border strips where the tap reads padding: x is never padded."""
+def _im2col(x, kh, kw, out=None, rows=None):
+    """(B, C*kh*kw, n*W) patch columns of the stride-1, same-padded conv's n
+    output rows ``rows`` = (i0, i1), all H by default, ordered (C, kh, kw),
+    into the flat buffer ``out`` if given. Each tap's plane is one copy of
+    the unpadded NCHW input plus zeroed border strips where the tap reads
+    padding: x is never padded."""
     B, C, H, W = x.shape
-    ph, pw = (pad, pad) if isinstance(pad, int) else pad
-    Ho, Wo = (H + 2 * ph - kh) // stride + 1, (W + 2 * pw - kw) // stride + 1
-    i0, i1 = rows or (0, Ho)
-    n = B * C * kh * kw * (i1 - i0) * Wo
-    cols = (np.empty(n, dtype=x.dtype) if out is None else out[:n]).reshape(B, C, kh, kw, i1 - i0, Wo)
+    i0, i1 = rows or (0, H)
+    n = B * C * kh * kw * (i1 - i0) * W
+    cols = (np.empty(n, dtype=x.dtype) if out is None else out[:n]).reshape(B, C, kh, kw, i1 - i0, W)
 
-    def span(off, size, lo, hi):  # outputs [a, b) of [lo, hi) that read x, from index stride*a+off
-        a = min(hi, max(lo, -(off // stride)))
-        return a, max(a, min(hi, (size - 1 - off) // stride + 1)), stride * a + off
+    def span(off, size, lo, hi):  # outputs [a, b) of [lo, hi) that read x, from index a+off
+        a = min(hi, max(lo, -off))
+        return a, max(a, min(hi, size - off)), a + off
 
     for u in range(kh):
-        a, b, r = span(u - ph, H, i0, i1)
+        a, b, r = span(u - kh // 2, H, i0, i1)
         for v in range(kw):
-            (c, d, s), plane = span(v - pw, W, 0, Wo), cols[:, :, u, v]
+            (c, d, s), plane = span(v - kw // 2, W, 0, W), cols[:, :, u, v]
             plane[:, :, : a - i0] = plane[:, :, b - i0 :] = plane[..., :c] = plane[..., d:] = 0
-            plane[:, :, a - i0 : b - i0, c:d] = x[:, :, r : r + stride * (b - a) : stride,
-                                                  s : s + stride * (d - c) : stride]
-    return cols.reshape(B, C * kh * kw, (i1 - i0) * Wo), Ho, Wo
+            plane[:, :, a - i0 : b - i0, c:d] = x[:, :, r : r + b - a, s : s + d - c]
+    return cols.reshape(B, C * kh * kw, (i1 - i0) * W)
 
 
-def _conv2d_dense_raw(x, w, stride, pad, keep=False):
-    """Dense conv as ``w.reshape(Co, K) @ cols`` per batch item; with ``keep``
-    also returns the (B, K, Ho*Wo) columns for the weight gradient. Without
-    it, the columns of blocks of output rows (~1M elements, 4 MB in float32)
-    are filled from the unpadded input into one reused buffer and multiplied
-    straight into the output.
+def _conv2d_dense_raw(x, w, keep=False):
+    """Stride-1, same-padded dense conv as ``w.reshape(Co, K) @ cols`` per
+    batch item; with ``keep`` also returns the (B, K, H*W) columns for the
+    weight gradient. Without it, the columns of blocks of output rows (~1M
+    elements, 4 MB in float32) are filled from the unpadded input into one
+    reused buffer and multiplied straight into the output.
 
     The bits match the row-major ``cols @ w.T`` form, except that OpenBLAS
     takes a small-matrix kernel for a GEMM with M*N*K below about 1e6, where
     the two operand orientations differ by ulps. No model shape falls there."""
     Co, C, kh, kw = w.shape
     B, _, H, W = x.shape
-    ph, pw = (pad, pad) if isinstance(pad, int) else pad
-    K, Ho, Wo = C * kh * kw, (H + 2 * ph - kh) // stride + 1, (W + 2 * pw - kw) // stride + 1
-    rows = Ho if keep else max(1, min(Ho, (1 << 20) // (K * Wo)))
-    cols = np.empty((B if keep else 1, K * rows * Wo), dtype=x.dtype)
-    out = np.empty((B, Co, Ho * Wo), dtype=np.result_type(x, w))
+    K = C * kh * kw
+    rows = H if keep else max(1, min(H, (1 << 20) // (K * W)))
+    cols = np.empty((B if keep else 1, K * rows * W), dtype=x.dtype)
+    out = np.empty((B, Co, H * W), dtype=np.result_type(x, w))
     wm = w.reshape(Co, K)
     for b in range(B):
-        for i0 in range(0, Ho, rows):
-            i1 = min(Ho, i0 + rows)
-            blk, _, _ = _im2col(x[b : b + 1], kh, kw, stride, (ph, pw), cols[b if keep else 0], (i0, i1))
-            np.matmul(wm, blk[0], out=out[b, :, i0 * Wo : i1 * Wo])
-    return out.reshape(B, Co, Ho, Wo), cols.reshape(B, K, Ho * Wo) if keep else None
+        for i0 in range(0, H, rows):
+            i1 = min(H, i0 + rows)
+            blk = _im2col(x[b : b + 1], kh, kw, cols[b if keep else 0], (i0, i1))
+            np.matmul(wm, blk[0], out=out[b, :, i0 * W : i1 * W])
+    return out.reshape(B, Co, H, W), cols.reshape(B, K, H * W) if keep else None
 
 
-def _dilate(g, stride):
-    if stride == 1:
-        return g
-    B, C, H, W = g.shape
-    out = np.zeros((B, C, (H - 1) * stride + 1, (W - 1) * stride + 1), dtype=g.dtype)
-    out[:, :, ::stride, ::stride] = g
-    return out
-
-
-def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
-    """2-D cross-correlation.
+def conv2d(x, weight, bias=None, *, groups=1):
+    """Stride-1 2-D cross-correlation with "same" zero padding, (kh // 2,
+    kw // 2) per axis, so the output has the input's H and W.
 
     ``x``: (B,C,H,W); ``weight``: (Co, C/groups, kh, kw) with odd kh, kw;
-    ``bias``: (Co,) or None. groups is 1 (dense) or C==Co (depthwise, stride
-    1). A 1x1 dense conv at stride 1 without padding is one matmul. Each of
-    the three kinds returns its output and the adjoint of x and weight; this
-    one node adds the bias, counts the MACs and records the op.
+    ``bias``: (Co,) or None. groups is 1 (dense) or C==Co (depthwise). A 1x1
+    dense conv is one matmul. Each of the three kinds returns its output and
+    the adjoint of x and weight; this one node adds the bias, counts the
+    MACs and records the op.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     bias = as_tensor(bias) if bias is not None else None
@@ -560,46 +534,35 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     B, C, H, W = x.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel must be odd, got {kh}x{kw}")
-    if not isinstance(padding, (int, np.integer)) or padding < 0:
-        raise ValueError(f"conv2d: padding must be an int >= 0, got {padding!r}")
     if bias is not None and bias.shape != (Co,):
         raise ValueError(f"conv2d: bias shape {bias.shape} does not match Co={Co}")
-    Ho = _conv_out_size(H, kh, stride, padding)
-    Wo = _conv_out_size(W, kw, stride, padding)
-
     if groups == 1:
         if Cw != C:
             raise ValueError(f"conv2d: weight in-channels {Cw} != input channels {C}")
-        pointwise = kh == kw == 1 and stride == 1 and padding == 0
-        kind = _conv2d_1x1 if pointwise else _conv2d_dense
+        kind = _conv2d_1x1 if kh == kw == 1 else _conv2d_dense
     elif groups == C and Co == C and Cw == 1:
-        if stride != 1:
-            raise ValueError("depthwise conv2d supports stride 1 only")
         kind = _depthwise_conv2d
     else:
         raise ValueError(f"conv2d: unsupported groups={groups} for C={C}, Co={Co}")
-    _count_macs(B * Ho * Wo * Co * Cw * kh * kw)
-    out, kind_vjp = kind(x, weight, stride, padding)
+    _count_macs(B * H * W * Co * Cw * kh * kw)
+    out, kind_vjp = kind(x, weight)
     if bias is None:
         return make_op(out, (x, weight), kind_vjp, "conv2d")
     out += bias.data.reshape(1, Co, 1, 1)
     return make_op(out, (x, weight, bias), lambda g: (*kind_vjp(g), g.sum(axis=(0, 2, 3))), "conv2d")
 
 
-def _conv2d_dense(x, weight, stride, padding):
-    B, C, H, W = x.shape
-    Co, _, kh, kw = weight.shape
+def _conv2d_dense(x, weight):
+    B, Co = x.shape[0], weight.shape[0]
     keep = grad_enabled() and weight.requires_grad
-    out, cols = _conv2d_dense_raw(x.data, weight.data, stride, padding, keep)
+    out, cols = _conv2d_dense_raw(x.data, weight.data, keep)
 
     def vjp(g):
         gx = gw = None
         if x.requires_grad:
-            # correlate the dilated grad with the channel-swapped flipped kernel
-            gd = _dilate(g, stride)
+            # the same conv of g with the kernel turned 180 degrees, channels swapped
             wfl = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx, _ = _conv2d_dense_raw(gd, np.ascontiguousarray(wfl), 1, (kh - 1 - padding, kw - 1 - padding))
-            gx = gx[:, :, :H, :W]
+            gx, _ = _conv2d_dense_raw(g, np.ascontiguousarray(wfl))
         if weight.requires_grad:
             g2 = g.reshape(B, Co, -1)
             gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
@@ -608,7 +571,7 @@ def _conv2d_dense(x, weight, stride, padding):
     return out, vjp
 
 
-def _conv2d_1x1(x, weight, stride, padding):
+def _conv2d_1x1(x, weight):
     B, C, H, W = x.shape
     Co = weight.shape[0]
     wmat = weight.data.reshape(Co, C)
@@ -626,17 +589,18 @@ def _conv2d_1x1(x, weight, stride, padding):
     return out, vjp
 
 
-def _depthwise_taps(wk, src, dst, pad):
+def _depthwise_taps(wk, src, dst):
     """dst += wk[:, u, v] * src shifted by the tap (u, v), over the kernel
-    taps of (B*C) planes, with src zero-padded by ``pad`` = (ph, pw) rows
-    and columns. Blocks of ~64K output elements reuse, in cache, one product
-    buffer and one padded scratch whose border is zeroed once, into whose
-    interior each input block is copied. The tap order is that of one
-    full-size product per tap, so every sum keeps its bits."""
+    taps of (B*C) planes, with src zero-padded to the same-size output.
+    Blocks of ~64K output elements reuse, in cache, one product buffer and
+    one padded scratch whose border is zeroed once, into whose interior each
+    input block is copied. The tap order is that of one full-size product
+    per tap, so every sum keeps its bits."""
     kh, kw = wk.shape[1:]
-    (ph, pw), (H, W), (Ho, Wo) = pad, src.shape[1:], dst.shape[1:]
-    cb = min(len(wk), max(1, (1 << 16) // (Ho * Wo)))
-    buf = np.empty((cb, Ho, Wo), dtype=np.result_type(wk, src))
+    H, W = src.shape[1:]
+    ph, pw = kh // 2, kw // 2
+    cb = min(len(wk), max(1, (1 << 16) // (H * W)))
+    buf = np.empty((cb, H, W), dtype=np.result_type(wk, src))
     padded = np.zeros((cb, H + 2 * ph, W + 2 * pw), dtype=src.dtype)
     inner = (slice(None), slice(ph, ph + H), slice(pw, pw + W))
     for c0 in range(0, len(wk), cb):
@@ -645,35 +609,32 @@ def _depthwise_taps(wk, src, dst, pad):
         pb[inner] = src[c0 : c0 + cb]
         for u in range(kh):
             for v in range(kw):
-                np.multiply(w[:, u, v, None, None], pb[:, u : u + Ho, v : v + Wo], out=tb)
+                np.multiply(w[:, u, v, None, None], pb[:, u : u + H, v : v + W], out=tb)
                 d += tb
 
 
-def _depthwise_conv2d(x, weight, stride, pad):
+def _depthwise_conv2d(x, weight):
     (B, C, H, W), (kh, kw) = x.shape, weight.shape[2:]
-    Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
     wk = np.tile(weight.data[:, 0], (B, 1, 1))  # (B*C,kh,kw), plane b*C+c
-    out = np.zeros((B, C, Ho, Wo), dtype=x.data.dtype)
-    _depthwise_taps(wk, x.data.reshape(B * C, H, W), out.reshape(B * C, Ho, Wo), (pad, pad))
+    out = np.zeros((B, C, H, W), dtype=x.data.dtype)
+    _depthwise_taps(wk, x.data.reshape(B * C, H, W), out.reshape(B * C, H, W))
 
     def vjp(g):
         # gw keeps the full-size (0,2,3) reduction, whose order sets its bits
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+        ph, pw = kh // 2, kw // 2
+        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         gw = np.empty((C, 1, kh, kw), dtype=g.dtype)
         prod = np.empty(g.shape, dtype=np.result_type(xp, g))
         for u in range(kh):
             for v in range(kw):
-                np.multiply(xp[:, :, u : u + Ho, v : v + Wo], g, out=prod)
+                np.multiply(xp[:, :, u : u + H, v : v + W], g, out=prod)
                 gw[:, 0, u, v] = prod.sum(axis=(0, 2, 3))
         del xp, prod
-        # gx is the forward taps over g turned 180 degrees, padded by k-1-pad
-        # per axis (cropped where that is negative), turned back. Each sum
-        # adds from +0.0 the taps a scatter of g would add, in its order, so
-        # the extra +-0 border terms change no bit.
-        ch, cw = max(0, pad + 1 - kh), max(0, pad + 1 - kw)
-        gt = g.reshape(B * C, Ho, Wo)[:, ch : Ho - ch, cw : Wo - cw][:, ::-1, ::-1]
+        # gx is the forward taps over g turned 180 degrees, turned back. Each
+        # sum adds from +0.0 the taps a scatter of g would add, in its order,
+        # so the extra +-0 border terms change no bit.
         gx = np.zeros((B * C, H, W), dtype=x.data.dtype)
-        _depthwise_taps(wk, gt, gx, (kh - 1 - pad + ch, kw - 1 - pad + cw))
+        _depthwise_taps(wk, g.reshape(B * C, H, W)[:, ::-1, ::-1], gx)
         return gx[:, ::-1, ::-1].reshape(B, C, H, W), gw
 
     return out, vjp
@@ -768,6 +729,8 @@ def bilinear_resize(x, out_h, out_w):
     """Differentiable bilinear resize of (...,H,W) to (...,out_h,out_w)."""
     x = as_tensor(x)
     H, W = x.shape[-2], x.shape[-1]
+    if (out_h, out_w) == (H, W):  # every output samples one input pixel center
+        return x
     Ay = _resize_matrix(H, out_h, x.data.dtype)
     Ax = _resize_matrix(W, out_w, x.data.dtype)
     out = np.matmul(np.matmul(Ay, x.data), Ax.T)
@@ -776,17 +739,6 @@ def bilinear_resize(x, out_h, out_w):
         return (np.matmul(np.matmul(Ay.T, g), Ax),)
 
     return make_op(out, (x,), vjp, "bilinear_resize")
-
-
-def bilinear_upsample(x, factor):
-    """Integer-factor bilinear upsampling of (B,C,H,W)."""
-    if factor < 1 or factor != int(factor):
-        raise ValueError(f"bilinear_upsample: factor must be an integer >= 1, got {factor}")
-    x = as_tensor(x)
-    if factor == 1:
-        return x
-    H, W = x.shape[-2], x.shape[-1]
-    return bilinear_resize(x, H * int(factor), W * int(factor))
 
 
 # -- construction helpers ----------------------------------------------------------

@@ -116,12 +116,17 @@ def model_config_to_array(cfg: ModelConfig):
 
 
 def model_config_from_array(arr) -> ModelConfig:
+    """Decode ``model_config_to_array``: 13 integers of version 1, or ValueError."""
     arr = np.asarray(arr).reshape(-1)
     if not np.isfinite(arr).all():
         raise ValueError(f"model-config encoding has non-finite values {arr}")
-    vals = [int(round(float(v))) for v in arr]
+    if (arr != np.round(arr)).any():
+        raise ValueError(f"model-config encoding has non-integer values {arr}")
+    vals = [int(v) for v in arr]
     if not vals or vals[0] != 1:
         raise ValueError(f"unsupported model-config encoding version {vals[:1]}")
+    if len(vals) != 13:
+        raise ValueError(f"model-config encoding has {len(vals)} values, expected 13")
     (_, embed, d0, d1, d2, state, patch, bh, bw, keep, dec, headb, hrch) = vals
     return ModelConfig(
         embed_dim=embed, depths=(d0, d1, d2), state_dim=state, patch_size=patch,

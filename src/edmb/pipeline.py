@@ -275,23 +275,24 @@ def load_dataset(root, list_file):
 
 
 class Adam:
-    """Adam with decoupled parameter groups (name, tensor, learning rate)."""
+    """Adam over named parameters, (name, tensor) pairs, at one learning rate."""
 
-    def __init__(self, groups, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        self.groups = list(groups)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, weight_decay=0.0):
+        self.params = list(params)
+        self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p.data, dtype=np.float64) for name, p, _ in self.groups}
-        self.v = {name: np.zeros_like(p.data, dtype=np.float64) for name, p, _ in self.groups}
+        self.m = {name: np.zeros_like(p.data, dtype=np.float64) for name, p in self.params}
+        self.v = {name: np.zeros_like(p.data, dtype=np.float64) for name, p in self.params}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr = self.beta1, self.beta2, self.lr
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for name, p, lr in self.groups:
+        for name, p in self.params:
             if p.grad is None:
                 continue
             g = p.grad.astype(np.float64)
@@ -307,7 +308,7 @@ class Adam:
             p.data = (p.data.astype(np.float64) - update).astype(p.data.dtype)
 
     def zero_grad(self):
-        for _, p, _ in self.groups:
+        for _, p in self.params:
             p.zero_grad()
 
     def state_arrays(self):
@@ -324,7 +325,7 @@ class Adam:
         t = arrays.get("t")
         if t is None or t.size != 1 or not np.isfinite(t).all():
             raise FormatError(f"optimizer state entry 't' must be one finite value, got {t!r}")
-        loaded = [(name, p) for name, p, _ in self.groups if "m." + name in arrays]
+        loaded = [(name, p) for name, p in self.params if "m." + name in arrays]
         for name, p in loaded:
             for key in ("m." + name, "v." + name):
                 shape = arrays[key].shape if key in arrays else None
@@ -519,7 +520,10 @@ def load_checkpoint(path) -> Checkpoint:
                     raise FormatError(f"{path}: meta.fingerprint is not ASCII")
                 fingerprint = bytes(arr.astype(np.uint8)).decode("ascii")
             elif name == "meta.model":
-                model_cfg = model_config_from_array(arr)
+                try:
+                    model_cfg = model_config_from_array(arr)
+                except ValueError as exc:
+                    raise FormatError(f"{path}: meta.model: {exc}") from exc
             elif name.startswith("adam."):
                 opt_state[name[len("adam."):]] = arr
             else:
@@ -591,8 +595,7 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
         trainable = model.global_param_names()
 
     named = dict(model.named_parameters())
-    groups = [(n, named[n], cfg.lr) for n in sorted(trainable)]
-    opt = Adam(groups, weight_decay=cfg.weight_decay)
+    opt = Adam([(n, named[n]) for n in sorted(trainable)], cfg.lr, cfg.weight_decay)
 
     step = 0
     if resume_ckpt is not None:
@@ -647,7 +650,7 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
             )
         dc.backward(loss)
         last_max_grad = max(
-            (float(np.abs(p.grad).max()) for _, p, _ in opt.groups if p.grad is not None),
+            (float(np.abs(p.grad).max()) for _, p in opt.params if p.grad is not None),
             default=0.0,
         )
         opt.step()

@@ -74,21 +74,18 @@ def grad_suite(eps=1e-4, tol=1e-4, max_coords=6):
         wc = _rand(rng, (4, 3, 3, 3))
         bc = _rand(rng, (4,))
         rc = _rand(rng, (2, 4, 6, 6), requires_grad=False)
-        add("conv2d.3x3", lambda: dc.tsum(dc.mul(rc, dc.conv2d(xc, wc, bc, 1, 1))), [xc, wc, bc])
+        add("conv2d.3x3", lambda: dc.tsum(dc.mul(rc, dc.conv2d(xc, wc, bc))), [xc, wc, bc])
         w1 = _rand(rng, (4, 3, 1, 1))
-        add("conv2d.1x1", lambda: dc.tsum(dc.mul(rc, dc.conv2d(xc, w1, bc, 1, 0))), [xc, w1, bc])
+        add("conv2d.1x1", lambda: dc.tsum(dc.mul(rc, dc.conv2d(xc, w1, bc))), [xc, w1, bc])
         wd = _rand(rng, (3, 1, 3, 3))
         rd = _rand(rng, (2, 3, 6, 6), requires_grad=False)
-        add("conv2d.depthwise", lambda: dc.tsum(dc.mul(rd, dc.conv2d(xc, wd, None, 1, 1, groups=3))), [xc, wd])
-        xst = _rand(rng, (2, 3, 7, 7))
-        ws = _rand(rng, (2, 3, 3, 3))
-        rs = _rand(rng, (2, 2, 4, 4), requires_grad=False)
-        add("conv2d.stride2", lambda: dc.tsum(dc.mul(rs, dc.conv2d(xst, ws, None, 2, 1))), [xst, ws])
+        add("conv2d.depthwise", lambda: dc.tsum(dc.mul(rd, dc.conv2d(xc, wd, groups=3))), [xc, wd])
+        rng.standard_normal(412)  # keeps the draws, and so the inputs, of the checks below
 
         # resampling and pooling
         xu = _rand(rng, (1, 2, 4, 4))
         ru = _rand(rng, (1, 2, 8, 8), requires_grad=False)
-        add("bilinear_upsample", lambda: dc.tsum(dc.mul(ru, dc.bilinear_upsample(xu, 2))), [xu])
+        add("bilinear_resize.2x", lambda: dc.tsum(dc.mul(ru, dc.bilinear_resize(xu, 8, 8))), [xu])
         rz = _rand(rng, (1, 2, 5, 7), requires_grad=False)
         add("bilinear_resize", lambda: dc.tsum(dc.mul(rz, dc.bilinear_resize(xu, 5, 7))), [xu])
         rp = _rand(rng, (1, 2, 2, 2), requires_grad=False)
@@ -304,7 +301,7 @@ def oracle_suite():
     xw = Tensor(np.zeros((1, 16, 8, 8), dtype=np.float32))
     ww = Tensor(np.zeros((32, 16, 3, 3), dtype=np.float32))
     dc.profile_macs_start()
-    dc.conv2d(xw, ww, None, 1, 1)
+    dc.conv2d(xw, ww)
     macs = dc.profile_macs_stop()
     add("flops.conv_hand_count", abs(macs - 8 * 8 * 32 * 16 * 9), 0.5)
     return results

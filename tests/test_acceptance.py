@@ -260,7 +260,7 @@ def test_criterion_09_flops_params():
     x = Tensor(np.zeros((1, 16, 8, 8), dtype=np.float32))
     w = Tensor(np.zeros((32, 16, 3, 3), dtype=np.float32))
     dc.profile_macs_start()
-    dc.conv2d(x, w, None, 1, 1)
+    dc.conv2d(x, w)
     macs = dc.profile_macs_stop()
     conv_ok = macs == 294_912 and 2 * macs == 589_824
 

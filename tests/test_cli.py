@@ -160,6 +160,24 @@ class TestEvalCommand:
         assert rc == 0
         assert "ods=1.000000" in capsys.readouterr().out
 
+    def test_multigranularity_maps_belong_to_one_id(self, tmp_path, capsys):
+        # "a_g1_g0.pgm" starts with "a_g" but is a map of "a_g1", whose
+        # label has another shape; sample "a" took it as its own
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        gt.mkdir()
+        pred.mkdir()
+        for sid, shape in (("a", (8, 8)), ("a_g1", (8, 12))):
+            label = np.zeros(shape, dtype=np.uint8)
+            label[4, 2:6] = 255
+            netpbm.write_pgm(gt / f"{sid}.pgm", label)
+            netpbm.write_pgm(pred / f"{sid}_g0.pgm", label)
+        (tmp_path / "list.txt").write_text("a\na_g1\n")
+        rc = main(["eval", "--pred", str(pred), "--gt", str(gt),
+                   "--list", str(tmp_path / "list.txt"), "--multigranularity"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "ods=1.000000" in captured.out
+
     def test_empty_label_directory_exits_1_naming_the_sample(self, workspace, tmp_path, capsys):
         data = workspace["data"]
         sid = (data / "list.txt").read_text().split()[0]

@@ -11,23 +11,26 @@ from edmb.diffcore import nn
 from edmb.diffcore.tensor import Tensor, _conv2d_dense_raw, _im2col, bilinear_at
 
 
-def conv2d_loop(x, w, b, stride, pad):
-    """Independent six-nested-loop convolution oracle."""
+def same_pad(x, kh, kw):
+    """x zero-padded by (kh // 2, kw // 2) on its last two axes."""
+    return np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+
+
+def conv2d_loop(x, w, b):
+    """Independent six-nested-loop oracle of the stride-1, same-padded conv."""
     B, C, H, W = x.shape
     Co, _, kh, kw = w.shape
-    Ho = (H + 2 * pad - kh) // stride + 1
-    Wo = (W + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((B, Co, Ho, Wo))
+    xp = same_pad(x, kh, kw)
+    out = np.zeros((B, Co, H, W))
     for bb in range(B):
         for co in range(Co):
-            for i in range(Ho):
-                for j in range(Wo):
+            for i in range(H):
+                for j in range(W):
                     acc = 0.0 if b is None else b[co]
                     for c in range(C):
                         for u in range(kh):
                             for v in range(kw):
-                                acc += xp[bb, c, i * stride + u, j * stride + v] * w[co, c, u, v]
+                                acc += xp[bb, c, i + u, j + v] * w[co, c, u, v]
                     out[bb, co, i, j] = acc
     return out
 
@@ -38,48 +41,44 @@ def bits(a):
     return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
 
 
-def depthwise_tap_loop(x, w, pad, g):
-    """Depthwise forward and input gradient (for output gradient ``g``) as one
-    full-size product per kernel tap, the sums the blocked kernel keeps."""
+def depthwise_tap_loop(x, w, g):
+    """Same-padded depthwise forward and input gradient (for output gradient
+    ``g``) as one full-size product per kernel tap, the sums the blocked
+    kernel keeps."""
     B, C, H, W = x.shape
     kh, kw = w.shape[2:]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    Ho, Wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
-    out = np.zeros((B, C, Ho, Wo), dtype=x.dtype)
+    ph, pw = kh // 2, kw // 2
+    xp = same_pad(x, kh, kw)
+    out = np.zeros((B, C, H, W), dtype=x.dtype)
     gxp = np.zeros_like(xp)
     for u in range(kh):
         for v in range(kw):
-            out += w[:, 0, u, v].reshape(1, C, 1, 1) * xp[:, :, u : u + Ho, v : v + Wo]
-            gxp[:, :, u : u + Ho, v : v + Wo] += w[:, 0, u, v].reshape(1, C, 1, 1) * g
-    return out, gxp[:, :, pad : pad + H, pad : pad + W]
+            out += w[:, 0, u, v].reshape(1, C, 1, 1) * xp[:, :, u : u + H, v : v + W]
+            gxp[:, :, u : u + H, v : v + W] += w[:, 0, u, v].reshape(1, C, 1, 1) * g
+    return out, gxp[:, :, ph : ph + H, pw : pw + W]
 
 
-def dense_conv_rows(x, w, stride, pad, b=None):
-    """Dense conv as (B, Ho*Wo, C*kh*kw) patch rows times ``w.T``, written
-    channel-first; returns the output and the patch rows."""
+def dense_conv_rows(x, w, b=None):
+    """Same-padded dense conv as (B, H*W, C*kh*kw) patch rows times ``w.T``,
+    written channel-first; returns the output and the patch rows."""
     Co, C, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    B, _, Ho, Wo = win.shape[:4]
-    rows = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B, Ho * Wo, -1)
+    win = np.lib.stride_tricks.sliding_window_view(same_pad(x, kh, kw), (kh, kw), axis=(2, 3))
+    B, _, H, W = win.shape[:4]
+    rows = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B, H * W, -1)
     out = (rows @ w.reshape(Co, -1).T).transpose(0, 2, 1)
     if b is not None:
         out = out + b[:, None]
-    return np.ascontiguousarray(out).reshape(B, Co, Ho, Wo), rows
+    return np.ascontiguousarray(out).reshape(B, Co, H, W), rows
 
 
-def dense_conv_rows_grads(x, w, stride, pad, g):
+def dense_conv_rows_grads(x, w, g):
     """Input and weight gradients of ``dense_conv_rows`` for output gradient
-    ``g``: the input gradient correlates the dilated ``g`` with the flipped,
+    ``g``: the input gradient correlates ``g`` with the flipped,
     channel-swapped kernel; the weight gradient is ``g @ rows`` summed over B."""
-    Co, C, kh, kw = w.shape
-    B, _, H, W = x.shape
-    gd = np.zeros((B, Co, (g.shape[2] - 1) * stride + 1, (g.shape[3] - 1) * stride + 1), g.dtype)
-    gd[:, :, ::stride, ::stride] = g
+    B, Co = x.shape[0], w.shape[0]
     wfl = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    gx = dense_conv_rows(gd, wfl, 1, kh - 1 - pad)[0][:, :, :H, :W]
-    rows = dense_conv_rows(x, w, stride, pad)[1]
+    gx = dense_conv_rows(g, wfl)[0]
+    rows = dense_conv_rows(x, w)[1]
     gw = np.matmul(g.reshape(B, Co, -1), rows).sum(axis=0).reshape(w.shape)
     return gx, gw
 
@@ -108,7 +107,7 @@ class TestConv2d:
     def test_all_ones_center(self):
         x = dc.ones((1, 1, 3, 3))
         w = dc.ones((1, 1, 3, 3))
-        out = dc.conv2d(x, w, None, stride=1, padding=1)
+        out = dc.conv2d(x, w)
         assert out.data[0, 0, 1, 1] == 9.0
 
     def test_identity_kernel(self, rng):
@@ -116,74 +115,48 @@ class TestConv2d:
         w = np.zeros((2, 2, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1] = 1.0
         w[1, 1, 1, 1] = 1.0
-        out = dc.conv2d(x, Tensor(w), None, stride=1, padding=1)
+        out = dc.conv2d(x, Tensor(w))
         np.testing.assert_array_equal(out.data, x.data)
 
-    def test_against_loop_oracle(self, rng, f64):
-        x = rng.standard_normal((1, 2, 5, 5))
-        w = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
-        got = dc.conv2d(Tensor(x), Tensor(w), Tensor(b), 1, 1).data
-        want = conv2d_loop(x, w, b, 1, 1)
-        assert np.abs(got - want).max() < 1e-6
-
-    def test_loop_oracle_strided(self, rng, f64):
-        x = rng.standard_normal((2, 3, 7, 7))
-        w = rng.standard_normal((4, 3, 3, 3))
-        got = dc.conv2d(Tensor(x), Tensor(w), None, 2, 1).data
-        want = conv2d_loop(x, w, None, 2, 1)
+    @pytest.mark.parametrize("w_shape,groups", [
+        pytest.param((3, 2, 3, 3), 1, id="dense-3x3"),
+        pytest.param((3, 2, 3, 5), 1, id="dense-3x5"),
+        pytest.param((2, 1, 3, 5), 2, id="depthwise-3x5"),
+    ])
+    def test_against_loop_oracle(self, rng, f64, w_shape, groups):
+        # the 3x5 kernels pad 1 row and 2 columns on each side
+        x = rng.standard_normal((1, 2, 5, 6))
+        w = rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[0])
+        dense_w = w if groups == 1 else np.einsum("cd,cuv->cduv", np.eye(2), w[:, 0])
+        got = dc.conv2d(Tensor(x), Tensor(w), Tensor(b), groups=groups).data
+        want = conv2d_loop(x, dense_w, b)
+        assert got.shape == x.shape[:1] + w_shape[:1] + x.shape[2:]
         assert np.abs(got - want).max() < 1e-6
 
     def test_channel_mismatch_names_dimension(self, rng):
         x = dc.zeros((1, 3, 4, 4))
         w = dc.zeros((2, 4, 3, 3))
         with pytest.raises(ValueError, match="in-channels 4 != input channels 3"):
-            dc.conv2d(x, w, None, 1, 1)
+            dc.conv2d(x, w)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            dc.conv2d(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 2, 2)), None, 1, 0)
+            dc.conv2d(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 2, 2)))
 
-    @pytest.mark.parametrize("w_shape,groups,padding", [
-        ((3, 2, 3, 3), 1, 1),  # dense
-        ((3, 2, 1, 1), 1, 0),  # 1x1
-        ((2, 1, 3, 3), 2, 1),  # depthwise, Co = 2
+    @pytest.mark.parametrize("w_shape,groups", [
+        ((3, 2, 3, 3), 1),  # dense
+        ((3, 2, 1, 1), 1),  # 1x1
+        ((2, 1, 3, 3), 2),  # depthwise, Co = 2
     ])
     @pytest.mark.parametrize("b_shape", [(1,), (4,), (3, 1)])
-    def test_bias_of_wrong_shape_rejected(self, w_shape, groups, padding, b_shape):
+    def test_bias_of_wrong_shape_rejected(self, w_shape, groups, b_shape):
         x, w = dc.zeros((1, 2, 4, 4)), dc.zeros(w_shape)
         co = w_shape[0]
         if b_shape == (co,):
             b_shape = (co + 1,)
         with pytest.raises(ValueError, match=rf"bias shape \({b_shape[0]},.*Co={co}"):
-            dc.conv2d(x, w, dc.zeros(b_shape), 1, padding, groups)
-
-    @pytest.mark.parametrize("padding", [1.0, 0.5, (1, 1), "1", None])
-    def test_non_int_padding_rejected(self, padding):
-        with pytest.raises(ValueError, match="padding must be an int"):
-            dc.conv2d(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 3, 3)), None, 1, padding)
-
-    def test_negative_padding_rejected(self):
-        with pytest.raises(ValueError, match="padding must be an int >= 0, got -1"):
-            dc.conv2d(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 3, 3)), None, 1, -1)
-
-    @pytest.mark.parametrize("k,pad,groups", [
-        pytest.param(1, 1, 1, id="1-1"),
-        pytest.param(3, 3, 1, id="3-3"),
-        pytest.param(1, 1, 2, id="depthwise-1-1"),
-        pytest.param(3, 3, 2, id="depthwise-3-3"),
-    ])
-    def test_input_gradient_with_pad_beyond_kernel(self, rng, f64, k, pad, groups):
-        # the adjoint conv runs at padding k - 1 - pad < 0, which crops
-        x = rng.standard_normal((1, 2, 3, 4))
-        w = rng.standard_normal((3, 2, k, k) if groups == 1 else (2, 1, k, k))
-        dense_w = w if groups == 1 else np.einsum("cd,cuv->cduv", np.eye(2), w[:, 0])
-        r = rng.standard_normal(conv2d_loop(x, dense_w, None, 1, pad).shape)
-        xt = Tensor(x, requires_grad=True)
-        dc.backward(dc.tsum(dc.mul(dc.conv2d(xt, Tensor(w), None, 1, pad, groups), Tensor(r))))
-        basis = np.eye(x.size).reshape((x.size,) + x.shape)
-        want = np.array([(conv2d_loop(e[None], dense_w, None, 1, pad) * r).sum() for e in basis[:, 0]])
-        np.testing.assert_allclose(xt.grad.reshape(-1), want, atol=1e-12)
+            dc.conv2d(x, w, dc.zeros(b_shape), groups=groups)
 
     def test_no_grad_depthwise_allocates_output_and_one_block(self, rng):
         # no padded copy of the input: besides its output, a no-grad
@@ -194,7 +167,7 @@ class TestConv2d:
         with dc.no_grad():
             tracemalloc.start()
             try:
-                out = dc.conv2d(x, w, None, 1, 1, 64)
+                out = dc.conv2d(x, w, groups=64)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -204,43 +177,35 @@ class TestConv2d:
     def test_depthwise_matches_grouped_loop(self, rng, f64):
         x = rng.standard_normal((1, 3, 5, 5))
         w = rng.standard_normal((3, 1, 3, 3))
-        got = dc.conv2d(Tensor(x), Tensor(w), None, 1, 1, groups=3).data
+        got = dc.conv2d(Tensor(x), Tensor(w), groups=3).data
         want = np.stack([
-            conv2d_loop(x[:, c : c + 1], w[c : c + 1], None, 1, 1)[0, 0]
+            conv2d_loop(x[:, c : c + 1], w[c : c + 1], None)[0, 0]
             for c in range(3)
         ])[None]
         assert np.abs(got - want).max() < 1e-6
 
-    @pytest.mark.parametrize("shape,k,stride,pad", [
-        ((2, 3, 7, 6), 3, 1, 1),
-        ((1, 4, 9, 9), 3, 2, 1),
-        ((3, 2, 5, 8), 5, 1, 2),
-        ((2, 5, 6, 7), 3, 1, (1, 0)),
-        ((1, 2, 4, 4), 1, 1, 0),
-        ((2, 3, 9, 8), 3, 2, (1, 0)),
-        ((1, 2, 7, 7), 3, 2, (0, 1)),
-        ((1, 2, 3, 5), 3, 2, 2),
-        ((1, 3, 11, 11), 5, 2, 2),
+    @pytest.mark.parametrize("shape,k", [
+        ((2, 3, 7, 6), (3, 3)),
+        ((3, 2, 5, 8), (5, 5)),
+        ((1, 2, 4, 4), (1, 1)),
+        ((2, 3, 7, 6), (3, 5)),
     ])
-    def test_im2col_matches_sliding_window_rows(self, rng, shape, k, stride, pad):
+    def test_im2col_matches_sliding_window_rows(self, rng, shape, k):
         # the columns are filled from the unpadded input; the reference pads
         x = rng.standard_normal(shape).astype(np.float32)
         x[:, :, 0] = -0.0
-        ph, pw = (pad, pad) if isinstance(pad, int) else pad
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]  # (B,C,Ho,Wo,k,k)
-        B, C, Ho, Wo = win.shape[:4]
-        want = win.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * k * k, Ho * Wo)
-        got, gho, gwo = _im2col(x, k, k, stride, pad)
-        assert (gho, gwo) == (Ho, Wo)
+        kh, kw = k
+        win = np.lib.stride_tricks.sliding_window_view(same_pad(x, kh, kw), k, axis=(2, 3))
+        B, C, H, W = win.shape[:4]  # (B,C,H,W,kh,kw)
+        want = win.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, H * W)
+        got = _im2col(x, kh, kw)
         assert got.flags.c_contiguous
         assert np.array_equal(bits(got), bits(want))
         # any range of output rows, into a reused buffer full of garbage
         buf = np.full(want.size, np.nan, dtype=np.float32)
-        for i0, i1 in ((0, 1), (Ho - 1, Ho), (Ho // 2, Ho), (0, Ho)):
-            got, _, _ = _im2col(x, k, k, stride, pad, buf, (i0, i1))
-            ref = want.reshape(B, C * k * k, Ho, Wo)[:, :, i0:i1].reshape(B, -1, (i1 - i0) * Wo)
+        for i0, i1 in ((0, 1), (H - 1, H), (H // 2, H), (0, H)):
+            got = _im2col(x, kh, kw, buf, (i0, i1))
+            ref = want.reshape(B, C * kh * kw, H, W)[:, :, i0:i1].reshape(B, -1, (i1 - i0) * W)
             assert np.array_equal(bits(got), bits(ref))
 
     def test_depthwise_gradients_match_block_diagonal_dense(self, rng, f64):
@@ -256,7 +221,7 @@ class TestConv2d:
         grads = []
         for weight, groups in ((w, C), (dense_w, 1)):
             xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, weight, b))
-            out = dc.conv2d(xt, wt, bt, 1, 1, groups=groups)
+            out = dc.conv2d(xt, wt, bt, groups=groups)
             dc.backward(dc.tsum(dc.mul(out, Tensor(g))))
             grads.append((out.data, xt.grad, wt.grad, bt.grad))
         (out, gx, gw, gb), (out_d, gx_d, gw_d, gb_d) = grads
@@ -278,38 +243,38 @@ class TestExactKernels:
             x.data[0, 0, 0, :3] = -0.0
             w = dc.randn(rng, (C, 1, 3, 3), requires_grad=True)
             g = dc.randn(rng, shape)
-            out = dc.conv2d(x, w, None, 1, 1, C)
+            out = dc.conv2d(x, w, groups=C)
             dc.backward(dc.tsum(dc.mul(out, g)))
-        ref_out, ref_gx = depthwise_tap_loop(x.data, w.data, 1, g.data)
+        ref_out, ref_gx = depthwise_tap_loop(x.data, w.data, g.data)
         assert np.array_equal(bits(out.data), bits(ref_out))
         assert np.array_equal(bits(x.grad), bits(ref_gx))
 
-    @pytest.mark.parametrize("shape,k,pad", [
-        ((1, 4, 260, 260), 3, 1),  # one channel per block
-        ((1, 5, 150, 150), 3, 1),  # blocks of 2, 2 and a short last one of 1
-        ((2, 3, 40, 40), 3, 0),
-        ((1, 6, 50, 50), 5, 2),
-        ((2, 7, 120, 90), 5, 1),
-        ((1, 5, 150, 150), (3, 5), 1),  # the adjoint pads 1 row and 3 columns
+    @pytest.mark.parametrize("shape,k", [
+        ((1, 4, 260, 260), (3, 3)),  # one channel per block
+        ((1, 5, 150, 150), (3, 3)),  # blocks of 2, 2 and a short last one of 1
+        ((2, 3, 40, 40), (3, 3)),
+        ((1, 6, 50, 50), (5, 5)),
+        ((2, 7, 120, 90), (5, 5)),
+        ((1, 5, 150, 150), (3, 5)),  # pads 1 row and 2 columns
     ])
-    def test_depthwise_blocks_match_tap_loop_bitwise(self, rng, shape, k, pad):
+    def test_depthwise_blocks_match_tap_loop_bitwise(self, rng, shape, k):
         C = shape[1]
-        kh, kw = (k, k) if isinstance(k, int) else k
+        kh, kw = k
         x = dc.randn(rng, shape, requires_grad=True)
         x.data[:, :, [0, -1]] = -0.0  # -0.0 on the border rows and columns
         x.data[:, :, :, [0, -1]] = -0.0
         w = dc.randn(rng, (C, 1, kh, kw), requires_grad=True)
         w.data[::2] = -np.abs(w.data[::2])  # every weight of the even channels negative
         with dc.no_grad():
-            no_grad_out = dc.conv2d(x, w, None, 1, pad, C)
-        out = dc.conv2d(x, w, None, 1, pad, C)
+            no_grad_out = dc.conv2d(x, w, groups=C)
+        out = dc.conv2d(x, w, groups=C)
         g = dc.randn(rng, out.shape)
         g.data[:, :, 0] = -0.0
         dc.backward(dc.tsum(dc.mul(out, g)))
-        ref_out, ref_gx = depthwise_tap_loop(x.data, w.data, pad, g.data)
-        Ho, Wo = out.shape[2:]
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        ref_gw = np.stack([[(xp[:, :, u : u + Ho, v : v + Wo] * g.data).sum(axis=(0, 2, 3))
+        ref_out, ref_gx = depthwise_tap_loop(x.data, w.data, g.data)
+        H, W = out.shape[2:]
+        xp = same_pad(x.data, kh, kw)
+        ref_gw = np.stack([[(xp[:, :, u : u + H, v : v + W] * g.data).sum(axis=(0, 2, 3))
                             for v in range(kw)] for u in range(kh)]).transpose(2, 0, 1)[:, None]
         assert np.array_equal(bits(no_grad_out.data), bits(ref_out))
         assert np.array_equal(bits(out.data), bits(ref_out))
@@ -318,53 +283,44 @@ class TestExactKernels:
 
     # Below M*N*K of about 1e6 per GEMM, OpenBLAS takes a small-matrix kernel
     # whose bits depend on the operand orientation; every shape here is above it.
-    @pytest.mark.parametrize("shape,co,stride,with_bias", [
-        ((1, 32, 160, 160), 32, 1, True),
-        ((1, 32, 160, 160), 32, 1, False),
-        ((1, 3, 160, 160), 16, 1, True),
-        ((4, 16, 64, 64), 16, 1, False),
-        ((3, 16, 32, 32), 32, 1, True),
-        ((2, 16, 65, 65), 32, 2, True),
+    @pytest.mark.parametrize("shape,co,with_bias", [
+        ((1, 32, 160, 160), 32, True),
+        ((1, 32, 160, 160), 32, False),
+        ((1, 3, 160, 160), 16, True),
+        ((4, 16, 64, 64), 16, False),
+        ((3, 16, 32, 32), 32, True),
     ])
-    def test_dense_matches_patch_rows_bitwise(self, rng, shape, co, stride, with_bias):
+    def test_dense_matches_patch_rows_bitwise(self, rng, shape, co, with_bias):
         x = dc.randn(rng, shape, requires_grad=True)
         w = dc.randn(rng, (co, shape[1], 3, 3), requires_grad=True)
         b = dc.randn(rng, (co,), requires_grad=True) if with_bias else None
-        out = dc.conv2d(x, w, b, stride, 1)
+        out = dc.conv2d(x, w, b)
         g = dc.randn(rng, out.shape)
         dc.backward(dc.tsum(dc.mul(out, g)))
-        ref_out, _ = dense_conv_rows(x.data, w.data, stride, 1, None if b is None else b.data)
-        ref_gx, ref_gw = dense_conv_rows_grads(x.data, w.data, stride, 1, g.data)
+        ref_out, _ = dense_conv_rows(x.data, w.data, None if b is None else b.data)
+        ref_gx, ref_gw = dense_conv_rows_grads(x.data, w.data, g.data)
         assert np.array_equal(bits(out.data), bits(ref_out))
         assert np.array_equal(bits(x.grad), bits(ref_gx))
         assert np.array_equal(bits(w.grad), bits(ref_gw))
 
-    @pytest.mark.parametrize("shape,stride", [((1, 32, 160, 160), 1), ((1, 32, 199, 199), 2)])
-    def test_dense_row_blocks_match_kept_columns_bitwise(self, rng, shape, stride):
-        # the blocks of output rows do not divide Ho (160 and 100 here)
-        x = rng.standard_normal(shape).astype(np.float32)
-        w = rng.standard_normal((32, shape[1], 3, 3)).astype(np.float32)
-        kept, cols = _conv2d_dense_raw(x, w, stride, 1, keep=True)
-        blocked, no_cols = _conv2d_dense_raw(x, w, stride, 1)
-        assert no_cols is None and cols.shape == (1, 32 * 9, kept.shape[2] * kept.shape[3])
+    def test_dense_row_blocks_match_kept_columns_bitwise(self, rng):
+        # the blocks of 22 output rows do not divide H = 160
+        x = rng.standard_normal((1, 32, 160, 160)).astype(np.float32)
+        w = rng.standard_normal((32, 32, 3, 3)).astype(np.float32)
+        kept, cols = _conv2d_dense_raw(x, w, keep=True)
+        blocked, no_cols = _conv2d_dense_raw(x, w)
+        assert no_cols is None and cols.shape == (1, 32 * 9, 160 * 160)
         assert np.array_equal(bits(blocked), bits(kept))
 
-    @pytest.mark.parametrize("shape,stride,pad", [
-        ((1, 32, 160, 160), 1, 1),
-        ((1, 32, 199, 199), 2, (1, 0)),
-        ((2, 16, 130, 97), 1, (1, 0)),
-    ])
-    def test_dense_columns_from_unpadded_input_match_padded_bitwise(self, rng, shape, stride, pad):
+    def test_dense_columns_from_unpadded_input_match_padded_bitwise(self, rng):
         # kept and row-blocked columns are filled from the unpadded input;
         # the reference cuts them from a padded copy
-        x = rng.standard_normal(shape).astype(np.float32)
+        x = rng.standard_normal((1, 32, 160, 160)).astype(np.float32)
         x[:, :, -1] = -0.0
-        w = rng.standard_normal((32, shape[1], 3, 3)).astype(np.float32)
-        kept, cols = _conv2d_dense_raw(x, w, stride, pad, keep=True)
-        blocked, _ = _conv2d_dense_raw(x, w, stride, pad)
-        ph, pw = (pad, pad) if isinstance(pad, int) else pad
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+        w = rng.standard_normal((32, 32, 3, 3)).astype(np.float32)
+        kept, cols = _conv2d_dense_raw(x, w, keep=True)
+        blocked, _ = _conv2d_dense_raw(x, w)
+        win = np.lib.stride_tricks.sliding_window_view(same_pad(x, 3, 3), (3, 3), axis=(2, 3))
         ref_cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(cols.shape)
         ref = np.matmul(w.reshape(32, -1), ref_cols).reshape(blocked.shape)
         assert np.array_equal(bits(cols), bits(ref_cols))
@@ -373,28 +329,27 @@ class TestExactKernels:
 
     @pytest.mark.bits
     def test_conv_outputs_and_gradients_pinned(self):
-        # output and x, w, b gradients of dense 3x3 at stride 1 and 2, 1x1,
-        # and depthwise 3x3, 5x5 and 3x5, each with and without bias, in
-        # float32 and float64, at B = 1 and 3
-        kinds = [((4, 6, 3, 3), 1, 1, 1), ((4, 6, 3, 3), 2, 1, 1), ((5, 6, 1, 1), 1, 0, 1),
-                 ((6, 1, 3, 3), 1, 1, 6), ((6, 1, 5, 5), 1, 2, 6), ((6, 1, 3, 5), 1, 1, 6)]
+        # output and x, w, b gradients of dense 3x3, 1x1, and depthwise 3x3
+        # and 5x5, each with and without bias, in float32 and float64, at
+        # B = 1 and 3
+        kinds = [((4, 6, 3, 3), 1), ((5, 6, 1, 1), 1), ((6, 1, 3, 3), 6), ((6, 1, 5, 5), 6)]
         rng = np.random.default_rng(18)
         digest = hashlib.sha256()
         for dtype in ("float32", "float64"):
             with dc.precision(dtype):
                 for B in (1, 3):
-                    for w_shape, stride, pad, groups in kinds:
+                    for w_shape, groups in kinds:
                         for with_bias in (False, True):
                             x = dc.randn(rng, (B, 6, 9, 11), requires_grad=True)
                             w = dc.randn(rng, w_shape, requires_grad=True)
                             b = dc.randn(rng, w_shape[:1], requires_grad=True) if with_bias else None
-                            out = dc.conv2d(x, w, b, stride, pad, groups)
+                            out = dc.conv2d(x, w, b, groups=groups)
                             dc.backward(dc.tsum(dc.mul(out, dc.randn(rng, out.shape))))
                             digest.update(out.data.tobytes() + x.grad.tobytes() + w.grad.tobytes())
                             if with_bias:
                                 digest.update(b.grad.tobytes())
         assert digest.hexdigest() == (
-            "f50fd407bd8fd1401aa000a165644ecbadacdf9b94627e37eed3312d0c609e59")
+            "623f9099a4f09654559f21c9597b1eb2f59e58f369682b13208e20282337713e")
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_relu_special_values_bitwise(self, dtype):
@@ -552,20 +507,15 @@ class TestPointwise:
 
 
 class TestBilinear:
-    @pytest.mark.parametrize("factor", [1.5, 2.7, 0.5])
-    def test_non_integer_factor_rejected(self, factor):
-        with pytest.raises(ValueError, match="integer"):
-            dc.bilinear_upsample(dc.zeros((1, 1, 3, 3)), factor)
-
     def test_constant_preserved(self):
         x = Tensor(np.full((1, 1, 3, 3), 2.5))
-        out = dc.bilinear_upsample(x, 4)
+        out = dc.bilinear_resize(x, 12, 12)
         assert out.shape == (1, 1, 12, 12)
         np.testing.assert_allclose(out.data, 2.5, rtol=0, atol=1e-6)
 
     def test_2x2_hand_case(self, f64):
         x = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]]).reshape(1, 1, 2, 2))
-        got = dc.bilinear_upsample(x, 2).data[0, 0]
+        got = dc.bilinear_resize(x, 4, 4).data[0, 0]
         want = bilinear_loop(np.array([[0.0, 1.0], [2.0, 3.0]]), 4, 4)
         np.testing.assert_allclose(got, want, atol=1e-12)
         # frozen values from the scalar oracle
@@ -580,12 +530,8 @@ class TestBilinear:
     def test_mean_preserved_for_smooth_input(self, f64):
         ii, jj = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
         smooth = 0.5 + 0.05 * np.cos(2 * np.pi * ii / 16) * np.cos(2 * np.pi * jj / 16)
-        out = dc.bilinear_upsample(Tensor(smooth[None, None]), 2).data
+        out = dc.bilinear_resize(Tensor(smooth[None, None]), 32, 32).data
         assert abs(out.mean() - smooth.mean()) < 1e-5
-
-    def test_bad_factor(self):
-        with pytest.raises(ValueError, match="factor"):
-            dc.bilinear_upsample(dc.zeros((1, 1, 2, 2)), 0)
 
     def test_matches_loop_oracle(self, rng, f64):
         x = rng.standard_normal((5, 7))
@@ -690,7 +636,7 @@ class TestBackward:
         image = Tensor(rng.standard_normal((2, 3, 5, 5)))
         scale = Tensor(rng.standard_normal((1, 4, 1, 1)))
         w = dc.randn(rng, (4, 3, 3, 3), requires_grad=True)
-        y = dc.mul(dc.conv2d(image, w, None, 1, 1), scale)
+        y = dc.mul(dc.conv2d(image, w), scale)
         dc.backward(dc.tsum(dc.matmul(y, Tensor(np.ones((5, 2))))))
         assert image.grad is None and scale.grad is None
         # d/dw of sum(scale * conv(image, w)) @ ones(5, 2): every output
@@ -736,7 +682,7 @@ class TestDeterminism:
             rng = np.random.default_rng(123)
             x = dc.randn(rng, (2, 3, 8, 8))
             w = dc.randn(rng, (4, 3, 3, 3))
-            outs.append(dc.conv2d(x, w, None, 1, 1).data.tobytes())
+            outs.append(dc.conv2d(x, w).data.tobytes())
         assert outs[0] == outs[1]
 
 

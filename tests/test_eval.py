@@ -395,7 +395,7 @@ class TestFlopsParams:
         x = Tensor(np.zeros((1, 16, 8, 8), dtype=np.float32))
         w = Tensor(np.zeros((32, 16, 3, 3), dtype=np.float32))
         dc.profile_macs_start()
-        dc.conv2d(x, w, None, 1, 1)
+        dc.conv2d(x, w)
         macs = dc.profile_macs_stop()
         assert macs == 8 * 8 * 32 * 16 * 9 == 294_912
         # flops = 2x multiply-accumulates

@@ -298,11 +298,26 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_non_finite_model_config_is_value_error(self):
-        # a flipped exponent byte turns 1.0 into inf, which int(round()) cannot take
+        # a flipped exponent byte turns 1.0 into inf, which int() cannot take
         arr = model_config_to_array(ModelConfig())
         arr[2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             model_config_from_array(arr)
+
+    @pytest.mark.parametrize("arr,named", [
+        pytest.param(np.array([1, 16, 2, 2, 2]), "5 values", id="short"),
+        pytest.param(np.append(model_config_to_array(ModelConfig()), 4), "14 values", id="long"),
+        pytest.param(np.where(np.arange(13) == 1, 16.4, model_config_to_array(ModelConfig())),
+                     "non-integer", id="non-integer"),
+    ])
+    def test_corrupt_model_config_is_format_error(self, tmp_path, arr, named):
+        # a bare "not enough values to unpack" before, and 16.4 was rounded;
+        # the state entry is the checkpoint's one meta.model
+        ck = Checkpoint({"meta.model": arr.astype(np.float32)}, {}, 1, "f" * 16)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(ck, path)
+        with pytest.raises(FormatError, match=f"x.ckpt: meta.model: .*{named}"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("step", [np.zeros(0), np.array([3.0, 4.0]), np.array([np.nan])])
     def test_bad_step_entry_is_format_error(self, tmp_path, step):
@@ -317,7 +332,7 @@ class TestCheckpoint:
     def test_adam_state_without_step_count_is_format_error(self):
         # a bare KeyError: 't' before
         p = Tensor(np.zeros((4, 3)), requires_grad=True)
-        opt = Adam([("w", p, 1e-3)])
+        opt = Adam([("w", p)], 1e-3)
         state = opt.state_arrays()
         del state["t"]
         with pytest.raises(FormatError, match="'t'"):
@@ -328,7 +343,7 @@ class TestCheckpoint:
         # a (2,4,3) moment was taken as it was, and the next step turned the
         # (4,3) parameter into shape (2,4,3)
         p = Tensor(np.zeros((4, 3)), requires_grad=True)
-        opt = Adam([("w", p, 1e-3)])
+        opt = Adam([("w", p)], 1e-3)
         state = opt.state_arrays()
         state[key] = np.zeros((2, 4, 3), dtype=np.float32)
         with pytest.raises(FormatError, match=f"'{key}'.*\\(2, 4, 3\\)"):
