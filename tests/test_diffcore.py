@@ -144,6 +144,45 @@ class TestConv2d:
         with pytest.raises(ValueError, match="odd"):
             dc.conv2d(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 2, 2)))
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda x, w: dc.conv2d(x, w, None, 1), id="positional-groups"),
+        pytest.param(lambda x, w: dc.conv2d(x, w, stride=1), id="stride"),
+        pytest.param(lambda x, w: dc.conv2d(x, w, padding=1), id="padding"),
+    ])
+    def test_geometry_arguments_rejected(self, call):
+        # one geometry, so no stride or padding; groups is keyword-only, so a
+        # fourth positional argument cannot be taken for a stride
+        with pytest.raises(TypeError):
+            call(dc.zeros((1, 1, 4, 4)), dc.zeros((1, 1, 3, 3)))
+
+    @pytest.mark.parametrize("k,groups", [
+        pytest.param((1, 1), 1, id="1x1"),
+        pytest.param((3, 3), 1, id="3x3"),
+        pytest.param((3, 5), 1, id="3x5"),
+        pytest.param((7, 7), 1, id="7x7"),
+        pytest.param((1, 1), 2, id="depthwise-1x1"),
+        pytest.param((3, 3), 2, id="depthwise-3x3"),
+        pytest.param((3, 5), 2, id="depthwise-3x5"),
+        pytest.param((7, 7), 2, id="depthwise-7x7"),
+    ])
+    def test_gradients_against_loop_oracle(self, rng, f64, k, groups):
+        # the conv is linear in x and in w, so each gradient entry is the loop
+        # oracle at one basis vector; a 7x7 kernel pads 3, past the 3x4 input,
+        # so some of its taps read nothing but padding
+        x = rng.standard_normal((1, 2, 3, 4))
+        w = rng.standard_normal((3, 2, *k) if groups == 1 else (2, 1, *k))
+
+        def dense(w):
+            return w if groups == 1 else np.einsum("cd,cuv->cduv", np.eye(2), w[:, 0])
+
+        r = rng.standard_normal((1, w.shape[0], 3, 4))
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        dc.backward(dc.tsum(dc.mul(dc.conv2d(xt, wt, groups=groups), Tensor(r))))
+        want_x = [(conv2d_loop(e.reshape(x.shape), dense(w), None) * r).sum() for e in np.eye(x.size)]
+        want_w = [(conv2d_loop(x, dense(e.reshape(w.shape)), None) * r).sum() for e in np.eye(w.size)]
+        np.testing.assert_allclose(xt.grad.reshape(-1), want_x, atol=1e-12)
+        np.testing.assert_allclose(wt.grad.reshape(-1), want_w, atol=1e-12)
+
     @pytest.mark.parametrize("w_shape,groups", [
         ((3, 2, 3, 3), 1),  # dense
         ((3, 2, 1, 1), 1),  # 1x1
@@ -189,6 +228,12 @@ class TestConv2d:
         ((3, 2, 5, 8), (5, 5)),
         ((1, 2, 4, 4), (1, 1)),
         ((2, 3, 7, 6), (3, 5)),
+        ((1, 4, 9, 9), (3, 3)),
+        ((2, 5, 6, 7), (3, 1)),
+        ((2, 3, 9, 8), (1, 3)),
+        ((1, 3, 11, 11), (5, 5)),
+        ((1, 2, 3, 5), (5, 5)),  # pads 2 rows on a 3-row input
+        ((1, 2, 2, 3), (7, 7)),  # some taps read only padding
     ])
     def test_im2col_matches_sliding_window_rows(self, rng, shape, k):
         # the columns are filled from the unpadded input; the reference pads
@@ -289,6 +334,7 @@ class TestExactKernels:
         ((1, 3, 160, 160), 16, True),
         ((4, 16, 64, 64), 16, False),
         ((3, 16, 32, 32), 32, True),
+        ((2, 16, 65, 65), 32, True),
     ])
     def test_dense_matches_patch_rows_bitwise(self, rng, shape, co, with_bias):
         x = dc.randn(rng, shape, requires_grad=True)
@@ -303,21 +349,23 @@ class TestExactKernels:
         assert np.array_equal(bits(x.grad), bits(ref_gx))
         assert np.array_equal(bits(w.grad), bits(ref_gw))
 
-    def test_dense_row_blocks_match_kept_columns_bitwise(self, rng):
-        # the blocks of 22 output rows do not divide H = 160
-        x = rng.standard_normal((1, 32, 160, 160)).astype(np.float32)
+    @pytest.mark.parametrize("size", [160, 199])
+    def test_dense_row_blocks_match_kept_columns_bitwise(self, rng, size):
+        # the blocks of output rows, 22 at H = 160 and 18 at 199, do not divide H
+        x = rng.standard_normal((1, 32, size, size)).astype(np.float32)
         w = rng.standard_normal((32, 32, 3, 3)).astype(np.float32)
         kept, cols = _conv2d_dense_raw(x, w, keep=True)
         blocked, no_cols = _conv2d_dense_raw(x, w)
-        assert no_cols is None and cols.shape == (1, 32 * 9, 160 * 160)
+        assert no_cols is None and cols.shape == (1, 32 * 9, size * size)
         assert np.array_equal(bits(blocked), bits(kept))
 
-    def test_dense_columns_from_unpadded_input_match_padded_bitwise(self, rng):
+    @pytest.mark.parametrize("shape", [(1, 32, 160, 160), (1, 32, 199, 199), (2, 16, 130, 97)])
+    def test_dense_columns_from_unpadded_input_match_padded_bitwise(self, rng, shape):
         # kept and row-blocked columns are filled from the unpadded input;
         # the reference cuts them from a padded copy
-        x = rng.standard_normal((1, 32, 160, 160)).astype(np.float32)
+        x = rng.standard_normal(shape).astype(np.float32)
         x[:, :, -1] = -0.0
-        w = rng.standard_normal((32, 32, 3, 3)).astype(np.float32)
+        w = rng.standard_normal((32, shape[1], 3, 3)).astype(np.float32)
         kept, cols = _conv2d_dense_raw(x, w, keep=True)
         blocked, _ = _conv2d_dense_raw(x, w)
         win = np.lib.stride_tricks.sliding_window_view(same_pad(x, 3, 3), (3, 3), axis=(2, 3))
