@@ -97,30 +97,24 @@ class Module:
 
     def load_state_arrays(self, arrays):
         """Load every parameter and buffer; unknown, missing or mis-shaped
-        entries raise."""
+        entries raise, naming the entry."""
         params = dict(self.named_parameters())
         owners = {prefix + k: (m, k) for prefix, m in self.named_modules() for k in m._buffers}
+        shapes = {**{"param." + n: p.shape for n, p in params.items()},
+                  **{"buffer." + n: m.buffer(k).shape for n, (m, k) in owners.items()}}
         dt = T.default_dtype()
-        seen = set()
         for key, arr in arrays.items():
+            if key not in shapes:
+                raise KeyError(f"unknown entry {key!r} in state")
+            if tuple(arr.shape) != shapes[key]:
+                raise ValueError(f"state entry {key!r}: shape {arr.shape} != model {shapes[key]}")
             kind, _, name = key.partition(".")
             if kind == "param":
-                if name not in params:
-                    raise KeyError(f"unknown parameter {name!r} in state")
-                p = params[name]
-                if tuple(arr.shape) != p.shape:
-                    raise ValueError(
-                        f"parameter {name!r}: shape {arr.shape} != model {p.shape}"
-                    )
-                p.data = np.ascontiguousarray(arr, dtype=dt)
-            elif kind == "buffer":
-                if name not in owners:
-                    raise KeyError(f"unknown buffer {name!r} in state")
+                params[name].data = np.ascontiguousarray(arr, dtype=dt)
+            else:
                 mod, local = owners[name]
                 mod.set_buffer(local, arr)
-            seen.add(key)
-        expected = {"param." + n for n in params} | {"buffer." + n for n in owners}
-        missing = expected - seen
+        missing = shapes.keys() - arrays.keys()
         if missing:
             raise KeyError(f"state is missing entries: {sorted(missing)[:4]} ...")
 
@@ -179,7 +173,9 @@ class Norm2d(Module):
     statistics over H,W; evaluation always uses the running statistics, so
     inference is batch-size independent. One op in every mode, with the bits
     of ``((x - mu) * inv) * gamma + beta`` and, with ``relu``, of
-    ``T.relu`` applied to that.
+    ``T.relu`` applied to that. One forward path whether or not a gradient
+    follows: training writes the output over x - mu, evaluation subtracts
+    the running mean per block, and the adjoint rebuilds x - mu from x.
     """
 
     eps = 1e-5
@@ -207,26 +203,21 @@ class Norm2d(Module):
                 m = self.momentum
                 self.set_buffer("running_mean", (1 - m) * self.buffer("running_mean") + m * mu.reshape(-1))
                 self.set_buffer("running_var", (1 - m) * self.buffer("running_var") + m * var.reshape(-1))
+            src, mu_src, out = xc, None, xc  # the output overwrites xc
         else:
             mu = np.asarray(self.buffer("running_mean"), dtype=dt).reshape(c_shape)
             var = np.asarray(self.buffer("running_var"), dtype=dt).reshape(c_shape)
-            xc = None
+            src, mu_src, out = x.data, mu, np.empty_like(x.data)
         ve = var + np.asarray(self.eps, dtype=dt)
         inv = ve**-0.5
         gamma, beta = self.gamma.data.reshape(c_shape), self.beta.data.reshape(c_shape)
         relu = self.relu
-        keep = T.grad_enabled() and (x.requires_grad or self.gamma.requires_grad)
-        if keep and xc is None:
-            xc = x.data - mu
-        if xc is None:  # eval without gradient: subtract the mean per block
-            out = _norm_epilogue(x.data, mu, inv, gamma, beta, relu, np.empty_like(x.data))
-        else:  # xc is kept for the adjoint, or else overwritten
-            out = _norm_epilogue(xc, None, inv, gamma, beta, relu, np.empty_like(xc) if keep else xc)
+        out = _norm_epilogue(src, mu_src, inv, gamma, beta, relu, out)
 
         def vjp(g):
             # one scratch buffer takes each full-size product in turn; every
             # element is computed as in the plain expressions in the comments
-            buf = np.empty_like(g)
+            buf, xc = np.empty_like(g), x.data - mu  # xc rebuilt from the input
             if relu:
                 np.greater(out, 0, out=buf)
                 g = g * buf  # g * (out > 0)

@@ -491,12 +491,11 @@ def _im2col(x, kh, kw, out=None, rows=None):
     return cols.reshape(B, C * kh * kw, (i1 - i0) * W)
 
 
-def _conv2d_dense_raw(x, w, keep=False):
+def _conv2d_dense_raw(x, w):
     """Stride-1, same-padded dense conv as ``w.reshape(Co, K) @ cols`` per
-    batch item; with ``keep`` also returns the (B, K, H*W) columns for the
-    weight gradient. Without it, the columns of blocks of output rows (~1M
-    elements, 4 MB in float32) are filled from the unpadded input into one
-    reused buffer and multiplied straight into the output.
+    batch item. The columns of blocks of output rows (~1M elements, 4 MB in
+    float32) are filled from the unpadded input into one reused buffer and
+    multiplied straight into the output; nothing is kept for backward.
 
     The bits match the row-major ``cols @ w.T`` form, except that OpenBLAS
     takes a small-matrix kernel for a GEMM with M*N*K below about 1e6, where
@@ -504,16 +503,16 @@ def _conv2d_dense_raw(x, w, keep=False):
     Co, C, kh, kw = w.shape
     B, _, H, W = x.shape
     K = C * kh * kw
-    rows = H if keep else max(1, min(H, (1 << 20) // (K * W)))
-    cols = np.empty((B if keep else 1, K * rows * W), dtype=x.dtype)
+    rows = max(1, min(H, (1 << 20) // (K * W)))
+    cols = np.empty(K * rows * W, dtype=x.dtype)
     out = np.empty((B, Co, H * W), dtype=np.result_type(x, w))
     wm = w.reshape(Co, K)
     for b in range(B):
         for i0 in range(0, H, rows):
             i1 = min(H, i0 + rows)
-            blk = _im2col(x[b : b + 1], kh, kw, cols[b if keep else 0], (i0, i1))
+            blk = _im2col(x[b : b + 1], kh, kw, cols, (i0, i1))
             np.matmul(wm, blk[0], out=out[b, :, i0 * W : i1 * W])
-    return out.reshape(B, Co, H, W), cols.reshape(B, K, H * W) if keep else None
+    return out.reshape(B, Co, H, W)
 
 
 def conv2d(x, weight, bias=None, *, groups=1):
@@ -553,19 +552,23 @@ def conv2d(x, weight, bias=None, *, groups=1):
 
 
 def _conv2d_dense(x, weight):
-    B, Co = x.shape[0], weight.shape[0]
-    keep = grad_enabled() and weight.requires_grad
-    out, cols = _conv2d_dense_raw(x.data, weight.data, keep)
+    (B, C, H, W), (Co, _, kh, kw) = x.shape, weight.shape
+    out = _conv2d_dense_raw(x.data, weight.data)
 
     def vjp(g):
         gx = gw = None
         if x.requires_grad:
             # the same conv of g with the kernel turned 180 degrees, channels swapped
             wfl = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx, _ = _conv2d_dense_raw(g, np.ascontiguousarray(wfl))
+            gx = _conv2d_dense_raw(g, np.ascontiguousarray(wfl))
         if weight.requires_grad:
-            g2 = g.reshape(B, Co, -1)
-            gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+            # each item's full columns are rebuilt into one buffer; the stacked
+            # per-item products reduce as one batched matmul's would
+            g2, cols = g.reshape(B, Co, H * W), np.empty(C * kh * kw * H * W, dtype=x.data.dtype)
+            per_item = np.empty((B, Co, C * kh * kw), dtype=np.result_type(g, x.data))
+            for b in range(B):
+                np.matmul(g2[b], _im2col(x.data[b : b + 1], kh, kw, cols)[0].T, out=per_item[b])
+            gw = per_item.sum(axis=0).reshape(weight.shape)
         return gx, gw
 
     return out, vjp

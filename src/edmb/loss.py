@@ -4,8 +4,7 @@ two stage losses with reparameterized sampling.
 
 Cross-entropy weights are computed per image over non-ignored pixels with
 the class-balanced convention: positives weighted |Y-|/|Y|, negatives
-lambda*|Y+|/|Y| (a ``literal_weights`` switch preserves the transposed
-printed form). The KL term is averaged per pixel; the weighted cross-entropy
+lambda*|Y+|/|Y|. The KL term is averaged per pixel; the weighted cross-entropy
 already carries a 1/|Y| inside its weights.
 """
 
@@ -26,7 +25,6 @@ class LossConfig:
     varphi: float = 1.0       # KL weight
     alpha2: float = 0.4       # auxiliary ELBO weight
     eps: float = 1e-6         # probability and variance clamp
-    literal_weights: bool = False
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -82,10 +80,7 @@ def wce_weight_maps(y, mask, cfg):
         if n == 0:
             empty += 1
             continue
-        if cfg.literal_weights:
-            w_pos, w_neg = n_pos / n, cfg.lam * n_neg / n
-        else:
-            w_pos, w_neg = n_neg / n, cfg.lam * n_pos / n
+        w_pos, w_neg = n_neg / n, cfg.lam * n_pos / n
         cpos[b] = w_pos * yb * mb
         cneg[b] = w_neg * (1.0 - yb) * mb
     if empty == B:

@@ -319,12 +319,10 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays):
-        """Load ``state_arrays`` output. A step count that is not one finite
-        value, or a moment pair with an entry missing or not of its
-        parameter's shape, raises FormatError naming the entry."""
-        t = arrays.get("t")
-        if t is None or t.size != 1 or not np.isfinite(t).all():
-            raise FormatError(f"optimizer state entry 't' must be one finite value, got {t!r}")
+        """Load ``state_arrays`` output. A step count that is not one
+        non-negative integer, or a moment pair with an entry missing or not
+        of its parameter's shape, raises FormatError naming the entry."""
+        t = _count(arrays.get("t"), "optimizer state entry 't'")
         loaded = [(name, p) for name, p in self.params if "m." + name in arrays]
         for name, p in loaded:
             for key in ("m." + name, "v." + name):
@@ -332,7 +330,7 @@ class Adam:
                 if shape != p.shape:
                     raise FormatError(f"optimizer state entry {key!r} must have its "
                                       f"parameter's shape {p.shape}, got {shape}")
-        self.t = int(t.reshape(-1)[0])
+        self.t = t
         for name, _ in loaded:
             self.m[name] = arrays["m." + name].astype(np.float64)
             self.v[name] = arrays["v." + name].astype(np.float64)
@@ -380,8 +378,6 @@ class TrainConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
 # flat key=value schema: every TrainConfig field but ``stage`` (set by
 # ``edmb train --stage``) has a documented key
 CONFIG_KEYS = {
@@ -398,7 +394,6 @@ CONFIG_KEYS = {
     "loss.varphi": ("loss.varphi", float),
     "loss.alpha2": ("loss.alpha2", float),
     "loss.eps": ("loss.eps", float),
-    "loss.literal_eq9_weights": ("loss.literal_weights", lambda s: BOOLS[s.lower()]),
     "model.embed_dim": ("model.embed_dim", int),
     "model.depths": ("model.depths", lambda s: tuple(int(x) for x in s.split(","))),
     "model.state_dim": ("model.state_dim", int),
@@ -485,6 +480,14 @@ def save_checkpoint(ckpt: Checkpoint, path):
     os.replace(tmp, path)
 
 
+def _count(arr, entry):
+    """The value of a counter entry, which must be one non-negative integer."""
+    v = arr.reshape(-1)[0] if arr is not None and arr.size == 1 else np.nan
+    if not (np.isfinite(v) and v >= 0 and v == int(v)):
+        raise FormatError(f"{entry} must be one non-negative integer, got {arr!r}")
+    return int(v)
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(CKPT_MAGIC))
@@ -512,9 +515,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise FormatError(f"{path}: entry name {name_bytes!r} is not UTF-8") from exc
             arr = read_tensor(fh)
             if name == "meta.step":
-                if arr.size != 1 or not np.isfinite(arr).all():
-                    raise FormatError(f"{path}: meta.step must be one finite value, got {arr!r}")
-                step = int(arr.reshape(-1)[0])
+                step = _count(arr, f"{path}: meta.step")
             elif name == "meta.fingerprint":
                 if not np.isin(arr, np.arange(128)).all():
                     raise FormatError(f"{path}: meta.fingerprint is not ASCII")

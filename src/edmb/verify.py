@@ -46,168 +46,162 @@ def _rand(rng, shape, requires_grad=True):
 
 def grad_suite(eps=1e-4, tol=1e-4, max_coords=6):
     """Finite-difference checks across every layer family and both stage
-    losses. Returns a list of CheckResult."""
+    losses, one per ``GRAD_CHECKS`` entry. Returns a list of CheckResult."""
     results = []
     with dc.precision("float64"):
-        rng = np.random.default_rng(42)
-
-        def add(name, f, params, threshold=tol, coords=max_coords):
+        for name, build in GRAD_CHECKS.items():
+            f, params = build(np.random.default_rng(list(name.encode())))
+            coords = 4 if name in _FOUR_COORDS else max_coords
             err = finite_diff_check(f, params, eps=eps, max_coords=coords,
                                     rng=np.random.default_rng(7))
-            results.append(CheckResult(name, err, threshold))
-
-        # pointwise family
-        x = _rand(rng, (3, 5))
-        r = _rand(rng, (3, 5), requires_grad=False)
-        add("pointwise.sigmoid", lambda: dc.tsum(dc.mul(r, dc.sigmoid(x))), [x])
-        add("pointwise.softplus", lambda: dc.tsum(dc.mul(r, dc.softplus(x))), [x])
-        add("pointwise.exp", lambda: dc.tsum(dc.mul(r, dc.exp(dc.mul(x, 0.3)))), [x])
-        xp = dc.Tensor(np.abs(x.data) + 0.5)
-        xp.requires_grad = True
-        add("pointwise.log", lambda: dc.tsum(dc.mul(r, dc.log(xp))), [xp])
-        xr = _rand(rng, (3, 5))
-        xr.data += np.where(np.abs(xr.data) < 0.1, 0.3, 0.0)  # keep off the kink
-        add("pointwise.relu", lambda: dc.tsum(dc.mul(r, dc.relu(xr))), [xr])
-
-        # conv family
-        xc = _rand(rng, (2, 3, 6, 6))
-        wc = _rand(rng, (4, 3, 3, 3))
-        bc = _rand(rng, (4,))
-        rc = _rand(rng, (2, 4, 6, 6), requires_grad=False)
-        add("conv2d.3x3", lambda: dc.tsum(dc.mul(rc, dc.conv2d(xc, wc, bc))), [xc, wc, bc])
-        w1 = _rand(rng, (4, 3, 1, 1))
-        add("conv2d.1x1", lambda: dc.tsum(dc.mul(rc, dc.conv2d(xc, w1, bc))), [xc, w1, bc])
-        wd = _rand(rng, (3, 1, 3, 3))
-        rd = _rand(rng, (2, 3, 6, 6), requires_grad=False)
-        add("conv2d.depthwise", lambda: dc.tsum(dc.mul(rd, dc.conv2d(xc, wd, groups=3))), [xc, wd])
-        rng.standard_normal(412)  # keeps the draws, and so the inputs, of the checks below
-
-        # resampling and pooling
-        xu = _rand(rng, (1, 2, 4, 4))
-        ru = _rand(rng, (1, 2, 8, 8), requires_grad=False)
-        add("bilinear_resize.2x", lambda: dc.tsum(dc.mul(ru, dc.bilinear_resize(xu, 8, 8))), [xu])
-        rz = _rand(rng, (1, 2, 5, 7), requires_grad=False)
-        add("bilinear_resize", lambda: dc.tsum(dc.mul(rz, dc.bilinear_resize(xu, 5, 7))), [xu])
-        rp = _rand(rng, (1, 2, 2, 2), requires_grad=False)
-        add("max_pool2d", lambda: dc.tsum(dc.mul(rp, dc.max_pool2d(xu, 2))), [xu])
-
-        # linear / norms
-        lin = nn.Linear(5, 4, rng)
-        xl = _rand(rng, (3, 5))
-        rl = _rand(rng, (3, 4), requires_grad=False)
-        add("linear", lambda: dc.tsum(dc.mul(rl, lin(xl))), [xl, lin.weight, lin.bias])
-        ln = nn.LayerNorm(6)
-        xn = _rand(rng, (2, 4, 6))
-        rn = _rand(rng, (2, 4, 6), requires_grad=False)
-        add("layernorm", lambda: dc.tsum(dc.mul(rn, ln(xn))), [xn, ln.gamma, ln.beta])
-        bn = nn.Norm2d(3)
-        xb = _rand(rng, (2, 3, 4, 4))
-        rb = _rand(rng, (2, 3, 4, 4), requires_grad=False)
-        add("norm2d.batch", lambda: dc.tsum(dc.mul(rb, dc.sigmoid(bn(xb)))), [xb, bn.gamma, bn.beta])
-        x1 = _rand(rng, (1, 3, 4, 4))
-        r1 = _rand(rng, (1, 3, 4, 4), requires_grad=False)
-        add("norm2d.instance_fallback", lambda: dc.tsum(dc.mul(r1, dc.sigmoid(bn(x1)))), [x1, bn.gamma, bn.beta])
-
-        # scan family
-        p = ssm.SSMParams(4, 3, rng)
-        xs = _rand(rng, (1, 6, 4))
-        rsq = _rand(rng, (1, 6, 4), requires_grad=False)
-
-        def scan_loss():
-            out = ssm.selective_scan(ssm.TokenSequence(xs, (2, 3)), p, "forward")
-            return dc.tsum(dc.mul(rsq, out.tokens))
-
-        add("selective_scan", scan_loss,
-            [xs, p.a_raw, p.b_proj.weight, p.c_proj.weight, p.delta_proj.weight, p.delta_proj.bias])
-        blk = ssm.VimBlock(4, 3, rng)
-        xv = _rand(rng, (1, 4, 4))
-        rv = _rand(rng, (1, 4, 4), requires_grad=False)
-        add("vim_block", lambda: dc.tsum(dc.mul(rv, blk(ssm.TokenSequence(xv, (2, 2))).tokens)),
-            [xv] + blk.parameters()[:6], coords=4)
-        pe = ssm.PatchEmbed(2, 5, (2, 2), rng)
-        xi = _rand(rng, (1, 3, 4, 4))
-        rpe = _rand(rng, (1, 4, 5), requires_grad=False)
-        add("patch_embed", lambda: dc.tsum(dc.mul(rpe, pe(xi).tokens)),
-            [xi, pe.proj.weight, pe.pos])
-        pm = ssm.PatchMerge(5, rng)
-        rpm = _rand(rng, (1, 1, 10), requires_grad=False)
-        add("patch_merge", lambda: dc.tsum(dc.mul(rpm, pm(pe(xi)).tokens)),
-            [xi, pm.reduce.weight])
-
-        # decoder family
-        mb = MBConv(3, 3, rng)
-        rmb = _rand(rng, (2, 3, 4, 4), requires_grad=False)
-        add("mbconv", lambda: dc.tsum(dc.mul(rmb, mb(xb))),
-            [xb, mb.expand.weight, mb.depthwise.weight, mb.project.weight], coords=4)
-        sft = SFT(3, 3, rng)
-        guide = _rand(rng, (2, 3, 4, 4))
-        add("sft", lambda: dc.tsum(dc.mul(rmb, sft(xb, *guide_maps([sft], guide)[0]))),
-            [xb, guide, sft.scale1.weight, sft.scale2.weight, sft.shift2.weight], coords=4)
-        cff = CFF([4, 3], 3, rng)
-        coarse = _rand(rng, (1, 4, 2, 2))
-        fine = _rand(rng, (1, 3, 4, 4))
-        rcf = _rand(rng, (1, 3, 4, 4), requires_grad=False)
-        add("cff", lambda: dc.tsum(dc.mul(rcf, cff([coarse, fine]))),
-            [coarse, fine] + cff.parameters()[:3], coords=4)
-        head = Head(3, rng, blocks=1)
-        rh = _rand(rng, (2, 1, 4, 4), requires_grad=False)
-        add("head", lambda: dc.tsum(dc.mul(rh, head(xb))),
-            [xb] + head.parameters()[:3], coords=4)
-
-        # losses on raw tensors
-        mu = _rand(rng, (1, 1, 3, 3))
-        raw_var = _rand(rng, (1, 1, 3, 3))
-        add("kl_loss", lambda: kl_loss(mu, dc.softplus(raw_var)), [mu, raw_var])
-        cfg = LossConfig()
-        yv = (np.random.default_rng(3).random((3, 3)) > 0.6).astype(float)
-        mask = np.ones((3, 3))
-        logits = _rand(rng, (1, 1, 3, 3))
-        add("wce_loss", lambda: wce_loss(dc.sigmoid(logits), yv, mask, cfg), [logits])
-
-        # a fresh generator per evaluation draws the same noise every time
-        def reparam_loss():
-            pr = sample_reparam(mu, dc.softplus(raw_var), np.random.default_rng(11))
-            return wce_loss(pr, yv, mask, cfg)
-
-        add("sample_reparam", reparam_loss, [mu, raw_var])
-
-        # both stage losses end to end on a 16x16 image (padded to 32)
-        mcfg = ModelConfig(embed_dim=8, depths=(1, 1, 1), state_dim=2,
-                           base_hw=(32, 32), window_keep=4, decoder_ch=8,
-                           head_blocks=1, highres_ch=4, seed=9)
-        model = EdgeDetector(mcfg)
-        img = np.random.default_rng(5).random((1, 3, 16, 16))
-        y16 = (np.random.default_rng(6).random((16, 16)) > 0.8).astype(float)
-        m16 = np.ones((16, 16))
-
-        def stage1_loss():
-            return stage_losses(stage_outputs(model, img, "global"), y16, m16, cfg, "global")
-
-        def stage2_loss():
-            return stage_losses(stage_outputs(model, img, "fine"), y16, m16, cfg, "fine",
-                                rng=np.random.default_rng(12))
-
-        s1_params = [dict(model.named_parameters())[n] for n in [
-            "global_enc.patch.proj.weight",
-            "global_enc.stage0.0.fwd.b_proj.weight",
-            "global_enc.stage2.0.proj.weight",
-            "high_enc.conv1.weight",
-            "decoder.cff_global.fuses.0.expand.weight",
-            "decoder.edge_head.final.weight",
-        ]]
-        add("stage1_loss", stage1_loss, s1_params, coords=4)
-        s2_params = [dict(model.named_parameters())[n] for n in [
-            "fine_enc.net.patch.proj.weight",
-            "fine_enc.net.stage1.0.fwd.delta_proj.weight",
-            "decoder.cff_mean.fuses.2.depthwise.weight",
-            "decoder.cff_var.fuses.3.project.weight",
-            "decoder.sft_mean.scale2.weight",
-            "decoder.mean_head.final.weight",
-            "decoder.var_head.final.weight",
-            "decoder.aux_var_head.final.weight",
-        ]]
-        add("stage2_loss", stage2_loss, s2_params, coords=4)
+            results.append(CheckResult(name, err, tol))
     return results
+
+
+def _weighted(rng, f, x, r_shape, params=()):
+    """sum(r * f(x)) for an r drawn from ``rng``, and the parameters [x, *params]."""
+    r = _rand(rng, r_shape, requires_grad=False)
+    return lambda: dc.tsum(dc.mul(r, f(x))), [x, *params]
+
+
+def _pointwise(op, prep=lambda a: a):
+    return lambda rng: _weighted(rng, op, dc.parameter(prep(rng.standard_normal((3, 5)))), (3, 5))
+
+
+def _conv(w_shape, groups=1, bias=True):
+    def build(rng):
+        x, w = _rand(rng, (2, 3, 6, 6)), _rand(rng, w_shape)
+        b = _rand(rng, w_shape[:1]) if bias else None
+        return _weighted(rng, lambda t: dc.conv2d(t, w, b, groups=groups), x, (2, w_shape[0], 6, 6),
+                         [w] + ([b] if bias else []))
+    return build
+
+
+def _resample(op, out_hw):
+    return lambda rng: _weighted(rng, op, _rand(rng, (1, 2, 4, 4)), (1, 2, *out_hw))
+
+
+def _module(make, x_shape, r_shape, params, out=lambda m, x: m(x)):
+    """``out(m, x)`` of the module ``m = make(rng)``; ``params(m)`` picks the
+    parameters checked besides the input."""
+    def build(rng):
+        m = make(rng)
+        return _weighted(rng, lambda x: out(m, x), _rand(rng, x_shape), r_shape, params(m))
+    return build
+
+
+def _norm2d(B):
+    return _module(lambda rng: nn.Norm2d(3), (B, 3, 4, 4), (B, 3, 4, 4),
+                   lambda m: [m.gamma, m.beta], lambda m, x: dc.sigmoid(m(x)))
+
+
+def _patch_merge(rng):
+    pe, pm = ssm.PatchEmbed(2, 5, (2, 2), rng), ssm.PatchMerge(5, rng)
+    return _weighted(rng, lambda x: pm(pe(x)).tokens, _rand(rng, (1, 3, 4, 4)), (1, 1, 10),
+                     [pm.reduce.weight])
+
+
+def _sft(rng):
+    sft, guide = SFT(3, 3, rng), _rand(rng, (2, 3, 4, 4))
+    return _weighted(rng, lambda x: sft(x, *guide_maps([sft], guide)[0]), _rand(rng, (2, 3, 4, 4)),
+                     (2, 3, 4, 4), [guide, sft.scale1.weight, sft.scale2.weight, sft.shift2.weight])
+
+
+def _cff(rng):
+    cff, coarse = CFF([4, 3], 3, rng), _rand(rng, (1, 4, 2, 2))
+    return _weighted(rng, lambda fine: cff([coarse, fine]), _rand(rng, (1, 3, 4, 4)), (1, 3, 4, 4),
+                     [coarse] + cff.parameters()[:3])
+
+
+def _dist(loss, uses_var=True):
+    """``loss(mu, var, y, mask, cfg)`` on a 3x3 map: var = softplus(raw)."""
+    def build(rng):
+        mu, raw_var = _rand(rng, (1, 1, 3, 3)), _rand(rng, (1, 1, 3, 3))
+        y = (np.random.default_rng(3).random((3, 3)) > 0.6).astype(float)
+        return (lambda: loss(mu, dc.softplus(raw_var), y, np.ones((3, 3)), LossConfig()),
+                [mu, raw_var] if uses_var else [mu])
+    return build
+
+
+def _stage_loss(stage, names):
+    """A stage loss end to end on a 16x16 image (padded to 32)."""
+    def build(rng):
+        model = EdgeDetector(ModelConfig(embed_dim=8, depths=(1, 1, 1), state_dim=2,
+                                         base_hw=(32, 32), window_keep=4, decoder_ch=8,
+                                         head_blocks=1, highres_ch=4, seed=9))
+        img = np.random.default_rng(5).random((1, 3, 16, 16))
+        y = (np.random.default_rng(6).random((16, 16)) > 0.8).astype(float)
+        params = dict(model.named_parameters())
+        return (lambda: stage_losses(stage_outputs(model, img, stage), y, np.ones((16, 16)),
+                                     LossConfig(), stage, rng=np.random.default_rng(12)),
+                [params[n] for n in names])
+    return build
+
+
+# name -> build: ``build(rng)`` draws the check's inputs from a generator
+# seeded by its name and returns (loss function, parameters), so adding or
+# removing a check leaves every other check's inputs as they were
+GRAD_CHECKS = {
+    "pointwise.sigmoid": _pointwise(dc.sigmoid),
+    "pointwise.softplus": _pointwise(dc.softplus),
+    "pointwise.exp": _pointwise(lambda x: dc.exp(dc.mul(x, 0.3))),
+    "pointwise.log": _pointwise(dc.log, lambda a: np.abs(a) + 0.5),
+    "pointwise.relu": _pointwise(dc.relu, lambda a: np.where(np.abs(a) < 0.1, a + 0.3, a)),
+    "conv2d.3x3": _conv((4, 3, 3, 3)),
+    "conv2d.1x1": _conv((4, 3, 1, 1)),
+    "conv2d.depthwise": _conv((3, 1, 3, 3), groups=3, bias=False),
+    "bilinear_resize.2x": _resample(lambda x: dc.bilinear_resize(x, 8, 8), (8, 8)),
+    "bilinear_resize": _resample(lambda x: dc.bilinear_resize(x, 5, 7), (5, 7)),
+    "max_pool2d": _resample(lambda x: dc.max_pool2d(x, 2), (2, 2)),
+    "linear": _module(lambda rng: nn.Linear(5, 4, rng), (3, 5), (3, 4),
+                      lambda m: [m.weight, m.bias]),
+    "layernorm": _module(lambda rng: nn.LayerNorm(6), (2, 4, 6), (2, 4, 6),
+                         lambda m: [m.gamma, m.beta]),
+    "norm2d.batch": _norm2d(2),
+    "norm2d.instance_fallback": _norm2d(1),
+    "selective_scan": _module(
+        lambda rng: ssm.SSMParams(4, 3, rng), (1, 6, 4), (1, 6, 4),
+        lambda p: [p.a_raw, p.b_proj.weight, p.c_proj.weight, p.delta_proj.weight, p.delta_proj.bias],
+        lambda p, x: ssm.selective_scan(ssm.TokenSequence(x, (2, 3)), p, "forward").tokens),
+    "vim_block": _module(lambda rng: ssm.VimBlock(4, 3, rng), (1, 4, 4), (1, 4, 4),
+                         lambda m: m.parameters()[:6],
+                         lambda m, x: m(ssm.TokenSequence(x, (2, 2))).tokens),
+    "patch_embed": _module(lambda rng: ssm.PatchEmbed(2, 5, (2, 2), rng), (1, 3, 4, 4), (1, 4, 5),
+                           lambda m: [m.proj.weight, m.pos], lambda m, x: m(x).tokens),
+    "patch_merge": _patch_merge,
+    "mbconv": _module(lambda rng: MBConv(3, 3, rng), (2, 3, 4, 4), (2, 3, 4, 4),
+                      lambda m: [m.expand.weight, m.depthwise.weight, m.project.weight]),
+    "sft": _sft,
+    "cff": _cff,
+    "head": _module(lambda rng: Head(3, rng, blocks=1), (2, 3, 4, 4), (2, 1, 4, 4),
+                    lambda m: m.parameters()[:3]),
+    "kl_loss": _dist(lambda mu, var, y, mask, cfg: kl_loss(mu, var)),
+    "wce_loss": _dist(lambda mu, var, y, mask, cfg: wce_loss(dc.sigmoid(mu), y, mask, cfg),
+                      uses_var=False),
+    # a fresh generator per evaluation draws the same noise every time
+    "sample_reparam": _dist(lambda mu, var, y, mask, cfg: wce_loss(
+        sample_reparam(mu, var, np.random.default_rng(11)), y, mask, cfg)),
+    "stage1_loss": _stage_loss("global", [
+        "global_enc.patch.proj.weight",
+        "global_enc.stage0.0.fwd.b_proj.weight",
+        "global_enc.stage2.0.proj.weight",
+        "high_enc.conv1.weight",
+        "decoder.cff_global.fuses.0.expand.weight",
+        "decoder.edge_head.final.weight",
+    ]),
+    "stage2_loss": _stage_loss("fine", [
+        "fine_enc.net.patch.proj.weight",
+        "fine_enc.net.stage1.0.fwd.delta_proj.weight",
+        "decoder.cff_mean.fuses.2.depthwise.weight",
+        "decoder.cff_var.fuses.3.project.weight",
+        "decoder.sft_mean.scale2.weight",
+        "decoder.mean_head.final.weight",
+        "decoder.var_head.final.weight",
+        "decoder.aux_var_head.final.weight",
+    ]),
+}
+# the larger checks sample 4 coordinates per parameter, also in quick mode
+_FOUR_COORDS = {"vim_block", "mbconv", "sft", "cff", "head", "stage1_loss", "stage2_loss"}
 
 
 def oracle_suite():

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,3 +37,20 @@ def _assignment_matching_size(pred, gt, max_dist_frac):
 @pytest.fixture
 def assignment_oracle():
     return _assignment_matching_size
+
+
+def _held_bytes(fn):
+    """(fn(), the tracemalloc bytes the call leaves allocated): what its
+    result and anything it keeps hold, net of what it freed."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held
+
+
+@pytest.fixture
+def held_bytes():
+    return _held_bytes

@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from edmb import netpbm
+from edmb import netpbm, verify
 from edmb.cli import build_parser, main
 from edmb.synth import make_shape_corpus, write_corpus
 
@@ -251,6 +251,15 @@ class TestCheckCommand:
         rc = main(["check", "--suite", "grad", "--quick"])
         assert rc == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_removing_a_grad_check_leaves_the_others_bitwise(self, monkeypatch):
+        # the checks drew their inputs from one generator in order, so
+        # dropping one moved the inputs, and the errors, of the checks after it
+        full = {r.name: float(r.value).hex() for r in verify.grad_suite(max_coords=3)}
+        monkeypatch.delitem(verify.GRAD_CHECKS, "conv2d.1x1")
+        rest = {r.name: float(r.value).hex() for r in verify.grad_suite(max_coords=3)}
+        assert len(full) == 28 and rest.keys() == full.keys() - {"conv2d.1x1"}
+        assert rest == {name: full[name] for name in rest}
 
 
 class TestSeededDeterminism:

@@ -350,30 +350,40 @@ class TestExactKernels:
         assert np.array_equal(bits(w.grad), bits(ref_gw))
 
     @pytest.mark.parametrize("size", [160, 199])
-    def test_dense_row_blocks_match_kept_columns_bitwise(self, rng, size):
+    def test_dense_row_blocks_match_full_columns_bitwise(self, rng, size):
         # the blocks of output rows, 22 at H = 160 and 18 at 199, do not divide H
         x = rng.standard_normal((1, 32, size, size)).astype(np.float32)
         w = rng.standard_normal((32, 32, 3, 3)).astype(np.float32)
-        kept, cols = _conv2d_dense_raw(x, w, keep=True)
-        blocked, no_cols = _conv2d_dense_raw(x, w)
-        assert no_cols is None and cols.shape == (1, 32 * 9, size * size)
-        assert np.array_equal(bits(blocked), bits(kept))
+        full = (w.reshape(32, -1) @ _im2col(x, 3, 3)).reshape(1, 32, size, size)
+        assert np.array_equal(bits(_conv2d_dense_raw(x, w)), bits(full))
 
     @pytest.mark.parametrize("shape", [(1, 32, 160, 160), (1, 32, 199, 199), (2, 16, 130, 97)])
     def test_dense_columns_from_unpadded_input_match_padded_bitwise(self, rng, shape):
-        # kept and row-blocked columns are filled from the unpadded input;
+        # full and row-blocked columns are filled from the unpadded input;
         # the reference cuts them from a padded copy
         x = rng.standard_normal(shape).astype(np.float32)
         x[:, :, -1] = -0.0
         w = rng.standard_normal((32, shape[1], 3, 3)).astype(np.float32)
-        kept, cols = _conv2d_dense_raw(x, w, keep=True)
-        blocked, _ = _conv2d_dense_raw(x, w)
+        cols = _im2col(x, 3, 3)
         win = np.lib.stride_tricks.sliding_window_view(same_pad(x, 3, 3), (3, 3), axis=(2, 3))
         ref_cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(cols.shape)
-        ref = np.matmul(w.reshape(32, -1), ref_cols).reshape(blocked.shape)
+        full = (w.reshape(32, -1) @ cols).reshape(shape[0], 32, *shape[2:])
         assert np.array_equal(bits(cols), bits(ref_cols))
-        assert np.array_equal(bits(kept), bits(ref))
-        assert np.array_equal(bits(blocked), bits(ref))
+        assert np.array_equal(bits(_conv2d_dense_raw(x, w)), bits(full))
+
+    @pytest.mark.parametrize("layer", ["dense", "norm_train", "norm_eval"])
+    def test_recorded_op_holds_only_its_output(self, rng, held_bytes, layer):
+        # backward rebuilds the dense conv's patch columns and the norm's
+        # x - mu from the input, which the graph holds anyway
+        x = dc.randn(rng, (3, 16, 64, 64), requires_grad=layer != "dense")
+        if layer == "dense":
+            w = dc.randn(rng, (16, 16, 3, 3), requires_grad=True)
+            out, held = held_bytes(lambda: dc.conv2d(x, w))
+        else:
+            bn = nn.Norm2d(16, relu=True).train(layer == "norm_train")
+            out, held = held_bytes(lambda: bn(x))
+        assert out.requires_grad  # recorded for backward
+        assert held <= out.data.nbytes + (16 << 10)
 
     @pytest.mark.bits
     def test_conv_outputs_and_gradients_pinned(self):

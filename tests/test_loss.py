@@ -103,14 +103,6 @@ class TestWCE:
         want = math.log(2.0) * (3.0 / 4.0 + 3.0 * 1.1 / 4.0)
         assert abs(loss - want) < 1e-3
 
-    def test_literal_weights_transposed(self, f64):
-        cfg = LossConfig(literal_weights=True)
-        y = np.zeros((2, 2))
-        y[0, 0] = 1.0
-        loss = wce_loss(Tensor(np.full((2, 2), 0.5)), y, np.ones((2, 2)), cfg).item()
-        want = math.log(2.0) * (1.0 / 4.0 + 3.0 * 1.1 * 3.0 / 4.0)
-        assert abs(loss - want) < 1e-3
-
     def test_ignored_pixels_carry_no_weight(self, f64):
         y = np.array([[1.0, 0.0], [1.0, 0.0]])
         mask = np.array([[1.0, 1.0], [0.0, 0.0]])
