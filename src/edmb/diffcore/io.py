@@ -54,12 +54,3 @@ def read_tensor(fh):
     payload = fh.read(4 * count)
     return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
-
-def save_tensor_file(path, array):
-    with open(path, "wb") as fh:
-        write_tensor(fh, array)
-
-
-def load_tensor_file(path):
-    with open(path, "rb") as fh:
-        return read_tensor(fh)

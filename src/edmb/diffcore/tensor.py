@@ -194,8 +194,11 @@ def backward(loss):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+                # one pass, with the bits of zeros += g: -0.0 lands as +0.0,
+                # and g is cast to the parent's dtype
+                parent.grad = np.add(g, 0.0, out=np.empty_like(parent.data))
+            else:
+                parent.grad += g
         node._vjp = None
         node._done = True
 
@@ -592,53 +595,114 @@ def _conv2d_1x1(x, weight):
     return out, vjp
 
 
-def _depthwise_taps(wk, src, dst):
-    """dst += wk[:, u, v] * src shifted by the tap (u, v), over the kernel
-    taps of (B*C) planes, with src zero-padded to the same-size output.
-    Blocks of ~64K output elements reuse, in cache, one product buffer and
-    one padded scratch whose border is zeroed once, into whose interior each
-    input block is copied. The tap order is that of one full-size product
-    per tap, so every sum keeps its bits."""
-    kh, kw = wk.shape[1:]
-    H, W = src.shape[1:]
+def _padded_blocks(src, kh, kw, n):
+    """(c0, block) per n channels of every item of (B, C, H, W) ``src``: each
+    plane zero-padded to (H + 2*ph, Wp) with Wp = W + 2*pw, flattened, with a
+    2*pw zero tail, so tap (u, v) is the contiguous ``block[..., u*Wp + v :]``
+    of H*Wp elements. One zeroed scratch is reused: every plane sits at a
+    multiple of its length, so a block copies in only its interior and the
+    borders stay zero."""
+    B, C, H, W = src.shape
     ph, pw = kh // 2, kw // 2
-    cb = min(len(wk), max(1, (1 << 16) // (H * W)))
-    buf = np.empty((cb, H, W), dtype=np.result_type(wk, src))
-    padded = np.zeros((cb, H + 2 * ph, W + 2 * pw), dtype=src.dtype)
-    inner = (slice(None), slice(ph, ph + H), slice(pw, pw + W))
-    for c0 in range(0, len(wk), cb):
-        w, d = wk[c0 : c0 + cb], dst[c0 : c0 + cb]
-        tb, pb = buf[: len(w)], padded[: len(w)]
-        pb[inner] = src[c0 : c0 + cb]
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    P = Hp * Wp + 2 * pw
+    scratch = np.zeros(B * n * P, dtype=src.dtype)
+    for c0 in range(0, C, n):
+        m = min(n, C - c0)
+        block = scratch[: B * m * P].reshape(B, m, P)
+        block[..., : Hp * Wp].reshape(B, m, Hp, Wp)[..., ph : ph + H, pw : pw + W] = src[:, c0 : c0 + m]
+        yield c0, block
+
+
+def _block_channels(shape, kh, kw):
+    """Channels per block of a (B, C, H, W) map: the padded planes of all B
+    items fill at most about 64K elements; at least 1, at most C."""
+    B, C, H, W = shape
+    return min(C, max(1, (1 << 16) // (B * ((H + kh - 1) * (W + kw - 1) + kw - 1))))
+
+
+def _depthwise_taps(w, src, dst):
+    """dst = the sum over kernel taps (u, v), in row-major tap order, of
+    w[:, u, v] times ``src`` shifted by the tap and zero-padded, for (C, kh,
+    kw) ``w`` and (B, C, H, W) ``src`` and ``dst`` (any strides). Each block
+    of padded planes (``_padded_blocks``) multiplies whole contiguous tap
+    slices into a product buffer and adds them in padded width; the 2*pw junk
+    columns of each row are cropped when the block is written out. The sum
+    starts from the first tap's product rather than from +0.0, which differs
+    only where every product is -0.0; the +0.0 added on the way out turns
+    that -0.0 into +0.0. So every element has the bits of one full-size
+    product per tap added into a zeroed output."""
+    B, C, H, W = src.shape
+    kh, kw = w.shape[1:]
+    Wp = W + kw - 1
+    L = H * Wp
+    n = _block_channels(src.shape, kh, kw)
+    acc, prod = np.empty((2, B * n * L), dtype=np.result_type(w, src))
+    for c0, block in _padded_blocks(src, kh, kw, n):
+        m = block.shape[1]
+        a, t = acc[: B * m * L].reshape(B, m, L), prod[: B * m * L].reshape(B, m, L)
+        wb = w[c0 : c0 + m, :, :, None]
         for u in range(kh):
             for v in range(kw):
-                np.multiply(w[:, u, v, None, None], pb[:, u : u + H, v : v + W], out=tb)
-                d += tb
+                tap = block[..., u * Wp + v : u * Wp + v + L]
+                if u == v == 0:
+                    np.multiply(wb[:, u, v], tap, out=a)
+                else:
+                    np.multiply(wb[:, u, v], tap, out=t)
+                    a += t
+        np.add(a.reshape(B, m, H, Wp)[..., :W], 0.0, out=dst[:, c0 : c0 + m])
+
+
+def _depthwise_weight_grad(x, g, kh, kw):
+    """(C, 1, kh, kw) gradient of the depthwise weight: gw[c, 0, u, v] is the
+    (0, 2, 3) sum of x's tap (u, v) times g. Each tap of a block of
+    ``_padded_blocks`` multiplies into one contiguous (B, m, H, W) product,
+    which is summed over H*W; the per-item sums are then added from +0.0 in
+    item order. That is what sum(axis=(0, 2, 3)) of one full-size product
+    does, so the bits hold for any number of channels per block, one
+    included, and any B. (Summing a one-channel block's (B, 1) per-item sums
+    in one call would be pairwise from 8 items, and differ.)"""
+    B, C, H, W = x.shape
+    Wp, K = W + kw - 1, kh * kw
+    n = _block_channels(x.shape, kh, kw)
+    gw = np.empty((C, 1, kh, kw), dtype=g.dtype)
+    prod = np.empty(B * n * H * W, dtype=np.result_type(x, g))
+    sums = np.empty((B, n, K), dtype=prod.dtype)
+    for c0, block in _padded_blocks(x, kh, kw, n):
+        m = block.shape[1]
+        p, gb = prod[: B * m * H * W].reshape(B, m, H, W), g[:, c0 : c0 + m]
+        for k in range(K):
+            u, v = divmod(k, kw)
+            tap = block[..., u * Wp + v : u * Wp + v + H * Wp].reshape(B, m, H, Wp)
+            np.multiply(tap[..., :W], gb, out=p)
+            np.sum(p.reshape(B, m, H * W), axis=2, out=sums[:, :m, k])
+        total = np.zeros((m, K), dtype=prod.dtype)
+        for b in range(B):
+            total += sums[b, :m]
+        gw[c0 : c0 + m, 0] = total.reshape(m, kh, kw)
+    return gw
 
 
 def _depthwise_conv2d(x, weight):
+    """The depthwise kind. The forward, the input gradient and the weight
+    gradient each pass once over the flat padded blocks of
+    ``_padded_blocks``; nothing of full size is padded or multiplied."""
     (B, C, H, W), (kh, kw) = x.shape, weight.shape[2:]
-    wk = np.tile(weight.data[:, 0], (B, 1, 1))  # (B*C,kh,kw), plane b*C+c
-    out = np.zeros((B, C, H, W), dtype=x.data.dtype)
-    _depthwise_taps(wk, x.data.reshape(B * C, H, W), out.reshape(B * C, H, W))
+    wk = weight.data[:, 0]
+    out = np.empty((B, C, H, W), dtype=x.data.dtype)
+    _depthwise_taps(wk, x.data, out)
 
     def vjp(g):
-        # gw keeps the full-size (0,2,3) reduction, whose order sets its bits
-        ph, pw = kh // 2, kw // 2
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        gw = np.empty((C, 1, kh, kw), dtype=g.dtype)
-        prod = np.empty(g.shape, dtype=np.result_type(xp, g))
-        for u in range(kh):
-            for v in range(kw):
-                np.multiply(xp[:, :, u : u + H, v : v + W], g, out=prod)
-                gw[:, 0, u, v] = prod.sum(axis=(0, 2, 3))
-        del xp, prod
-        # gx is the forward taps over g turned 180 degrees, turned back. Each
-        # sum adds from +0.0 the taps a scatter of g would add, in its order,
-        # so the extra +-0 border terms change no bit.
-        gx = np.zeros((B * C, H, W), dtype=x.data.dtype)
-        _depthwise_taps(wk, g.reshape(B * C, H, W)[:, ::-1, ::-1], gx)
-        return gx[:, ::-1, ::-1].reshape(B, C, H, W), gw
+        gx = gw = None
+        if weight.requires_grad:
+            gw = _depthwise_weight_grad(x.data, g, kh, kw)
+        if x.requires_grad:
+            # the forward taps over g turned 180 degrees, written turned back.
+            # Each sum adds the taps a scatter of g would add, in its order,
+            # so the extra +-0 border terms change no bit.
+            gx = np.empty((B, C, H, W), dtype=x.data.dtype)
+            _depthwise_taps(wk, g[:, :, ::-1, ::-1], gx[:, :, ::-1, ::-1])
+        return gx, gw
 
     return out, vjp
 
@@ -749,10 +813,6 @@ def bilinear_resize(x, out_h, out_w):
 
 def zeros(shape, requires_grad=False):
     return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad=False):
-    return Tensor(np.ones(shape, dtype=default_dtype()), requires_grad=requires_grad)
 
 
 def randn(rng, shape, requires_grad=False):

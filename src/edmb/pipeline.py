@@ -499,7 +499,7 @@ def load_checkpoint(path) -> Checkpoint:
         version, count = struct.unpack("<II", raw)
         if version != CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        state, opt_state = {}, {}
+        state, opt_state, names = {}, {}, set()
         step, fingerprint, model_cfg = 0, "", None
         for _ in range(count):
             raw = fh.read(2)
@@ -513,6 +513,9 @@ def load_checkpoint(path) -> Checkpoint:
                 name = name_bytes.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"{path}: entry name {name_bytes!r} is not UTF-8") from exc
+            if name in names:
+                raise FormatError(f"{path}: entry {name!r} appears twice")
+            names.add(name)
             arr = read_tensor(fh)
             if name == "meta.step":
                 step = _count(arr, f"{path}: meta.step")

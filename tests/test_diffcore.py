@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import struct
 import tracemalloc
@@ -42,20 +43,23 @@ def bits(a):
 
 
 def depthwise_tap_loop(x, w, g):
-    """Same-padded depthwise forward and input gradient (for output gradient
-    ``g``) as one full-size product per kernel tap, the sums the blocked
-    kernel keeps."""
+    """Same-padded depthwise forward, input and weight gradient (for output
+    gradient ``g``) as one full-size product per kernel tap: the sums the
+    blocked kernel keeps. The weight gradient is each tap's full-size product
+    summed over axes (0, 2, 3)."""
     B, C, H, W = x.shape
     kh, kw = w.shape[2:]
     ph, pw = kh // 2, kw // 2
     xp = same_pad(x, kh, kw)
     out = np.zeros((B, C, H, W), dtype=x.dtype)
     gxp = np.zeros_like(xp)
+    gw = np.empty(w.shape, dtype=w.dtype)
     for u in range(kh):
         for v in range(kw):
             out += w[:, 0, u, v].reshape(1, C, 1, 1) * xp[:, :, u : u + H, v : v + W]
             gxp[:, :, u : u + H, v : v + W] += w[:, 0, u, v].reshape(1, C, 1, 1) * g
-    return out, gxp[:, :, ph : ph + H, pw : pw + W]
+            gw[:, 0, u, v] = (xp[:, :, u : u + H, v : v + W] * g).sum(axis=(0, 2, 3))
+    return out, gxp[:, :, ph : ph + H, pw : pw + W], gw
 
 
 def dense_conv_rows(x, w, b=None):
@@ -105,8 +109,8 @@ def bilinear_loop(x, out_h, out_w):
 
 class TestConv2d:
     def test_all_ones_center(self):
-        x = dc.ones((1, 1, 3, 3))
-        w = dc.ones((1, 1, 3, 3))
+        x = Tensor(np.ones((1, 1, 3, 3)))
+        w = Tensor(np.ones((1, 1, 3, 3)))
         out = dc.conv2d(x, w)
         assert out.data[0, 0, 1, 1] == 9.0
 
@@ -290,9 +294,10 @@ class TestExactKernels:
             g = dc.randn(rng, shape)
             out = dc.conv2d(x, w, groups=C)
             dc.backward(dc.tsum(dc.mul(out, g)))
-        ref_out, ref_gx = depthwise_tap_loop(x.data, w.data, g.data)
+        ref_out, ref_gx, ref_gw = depthwise_tap_loop(x.data, w.data, g.data)
         assert np.array_equal(bits(out.data), bits(ref_out))
         assert np.array_equal(bits(x.grad), bits(ref_gx))
+        assert np.array_equal(bits(w.grad), bits(ref_gw))
 
     @pytest.mark.parametrize("shape,k", [
         ((1, 4, 260, 260), (3, 3)),  # one channel per block
@@ -301,6 +306,9 @@ class TestExactKernels:
         ((1, 6, 50, 50), (5, 5)),
         ((2, 7, 120, 90), (5, 5)),
         ((1, 5, 150, 150), (3, 5)),  # pads 1 row and 2 columns
+        ((3, 64, 32, 32), (3, 3)),  # blocks of 18, 18, 18 and 10 channels of all 3 items
+        ((4, 51, 16, 16), (3, 3)),  # blocks of 50 and a one-channel tail
+        ((9, 3, 50, 50), (3, 3)),  # nine items, blocks of 2 and 1 channels
     ])
     def test_depthwise_blocks_match_tap_loop_bitwise(self, rng, shape, k):
         C = shape[1]
@@ -316,15 +324,40 @@ class TestExactKernels:
         g = dc.randn(rng, out.shape)
         g.data[:, :, 0] = -0.0
         dc.backward(dc.tsum(dc.mul(out, g)))
-        ref_out, ref_gx = depthwise_tap_loop(x.data, w.data, g.data)
-        H, W = out.shape[2:]
-        xp = same_pad(x.data, kh, kw)
-        ref_gw = np.stack([[(xp[:, :, u : u + H, v : v + W] * g.data).sum(axis=(0, 2, 3))
-                            for v in range(kw)] for u in range(kh)]).transpose(2, 0, 1)[:, None]
+        ref_out, ref_gx, ref_gw = depthwise_tap_loop(x.data, w.data, g.data)
         assert np.array_equal(bits(no_grad_out.data), bits(ref_out))
         assert np.array_equal(bits(out.data), bits(ref_out))
         assert np.array_equal(bits(x.grad), bits(ref_gx))
         assert np.array_equal(bits(w.grad), bits(ref_gw))
+
+    def test_depthwise_sums_of_negative_zeros_are_positive_zero(self):
+        # every tap product of an interior pixel is -0.0, and a sum from +0.0
+        # of them is +0.0; so are the weight gradient's products (-0.0)(-0.0)
+        x = Tensor(np.full((2, 3, 6, 7), -0.0), requires_grad=True)
+        w = Tensor(np.ones((3, 1, 3, 3)), requires_grad=True)
+        out = dc.conv2d(x, w, groups=3)
+        g = np.full(out.shape, -0.0, dtype=np.float32)
+        gx, gw = out._vjp(g)
+        for got, want in zip((out.data, gx, gw), depthwise_tap_loop(x.data, w.data, g)):
+            assert np.array_equal(bits(got), bits(want))
+            assert not np.signbit(got).any()
+
+    def test_depthwise_backward_holds_input_gradient_and_blocks(self, rng):
+        # no padded copy of x and no full-size product: the adjoint's peak is
+        # its input gradient plus the scratch of one ~64K-element block pass
+        x = dc.randn(rng, (1, 64, 128, 128), requires_grad=True)
+        w = dc.randn(rng, (64, 1, 3, 3), requires_grad=True)
+        out = dc.conv2d(x, w, groups=64)
+        g = dc.randn(rng, out.shape).data
+        tracemalloc.start()
+        try:
+            gx, gw = out._vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = (1 << 16) * x.data.itemsize
+        assert gx.shape == x.shape and gw.shape == w.shape
+        assert peak <= gx.nbytes + 3 * block
 
     # Below M*N*K of about 1e6 per GEMM, OpenBLAS takes a small-matrix kernel
     # whose bits depend on the operand orientation; every shape here is above it.
@@ -690,6 +723,24 @@ class TestBackward:
         np.testing.assert_array_equal(x2.grad, np.ones((2, 3)))
         np.testing.assert_array_equal(r.grad, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("g_dtype", ["float32", "float64"])
+    def test_first_gradient_has_the_bits_of_zeros_plus_g(self, g_dtype):
+        # a tensor's first gradient is a new array of its own dtype holding
+        # zeros += g: -0.0 lands as +0.0, and a float64 g is rounded to
+        # float32; later gradients add into it, never into the adjoint's array
+        x = Tensor(np.ones(4), requires_grad=True)
+        g = np.array([-0.0, 1 / 3, -2.5, 0.0], dtype=g_dtype)
+        g_bits = bits(g).copy()
+        want = np.zeros(4, dtype=np.float32)
+        want += g
+        dc.backward(dc.tsum(dc.make_op(x.data.copy(), (x,), lambda _: (g,), "probe")))
+        assert x.grad.dtype == np.float32 and bits(x.grad)[0] == 0
+        assert np.array_equal(bits(x.grad), bits(want))
+        dc.backward(dc.tsum(dc.make_op(x.data.copy(), (x,), lambda _: (g,), "probe")))
+        want += g
+        assert np.array_equal(bits(x.grad), bits(want))
+        assert np.array_equal(bits(g), g_bits)
+
     def test_constant_operands_receive_no_gradient(self, rng):
         image = Tensor(rng.standard_normal((2, 3, 5, 5)))
         scale = Tensor(rng.standard_normal((1, 4, 1, 1)))
@@ -759,34 +810,30 @@ class TestGraph:
 
 
 class TestTensorIO:
-    def test_roundtrip(self, tmp_path, rng):
+    @staticmethod
+    def _written(arr):
+        fh = io.BytesIO()
+        dc.write_tensor(fh, arr)
+        return fh.getvalue()
+
+    def test_roundtrip(self, rng):
         arr = rng.standard_normal((2, 3, 4)).astype(np.float32)
-        path = tmp_path / "t.bin"
-        dc.save_tensor_file(path, arr)
-        back = dc.load_tensor_file(path)
+        back = dc.read_tensor(io.BytesIO(self._written(arr)))
         assert np.array_equal(arr, back)
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
+    def test_bad_magic(self):
         with pytest.raises(dc.FormatError, match="magic"):
-            dc.load_tensor_file(path)
+            dc.read_tensor(io.BytesIO(b"NOTMAGIC" + b"\x00" * 16))
 
-    def test_truncated(self, tmp_path, rng):
-        arr = rng.standard_normal((4, 4)).astype(np.float32)
-        path = tmp_path / "t.bin"
-        dc.save_tensor_file(path, arr)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
+    def test_truncated(self, rng):
+        data = self._written(rng.standard_normal((4, 4)).astype(np.float32))
         with pytest.raises(dc.FormatError, match="truncated"):
-            dc.load_tensor_file(path)
+            dc.read_tensor(io.BytesIO(data[:-8]))
 
-
-    def test_shape_larger_than_file_is_format_error(self, tmp_path):
-        path = tmp_path / "huge.bin"
-        path.write_bytes(dc.TENSOR_MAGIC + struct.pack("<4I", 3, 65535, 65535, 4096) + b"\0" * 4)
+    def test_shape_larger_than_file_is_format_error(self):
+        data = dc.TENSOR_MAGIC + struct.pack("<4I", 3, 65535, 65535, 4096) + b"\0" * 4
         with pytest.raises(dc.FormatError, match="truncated"):
-            dc.load_tensor_file(path)
+            dc.read_tensor(io.BytesIO(data))
 
 
 class TestNorm2d:

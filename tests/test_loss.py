@@ -192,7 +192,7 @@ class TestElbo:
         cfg = LossConfig(varphi=1.0)
         y = (rng.random((3, 3)) > 0.5).astype(float)
         p = Tensor(rng.random((3, 3)) * 0.8 + 0.1)
-        mu, var = dc.zeros((3, 3)), dc.ones((3, 3))
+        mu, var = dc.zeros((3, 3)), Tensor(np.ones((3, 3)))
         got = elbo_loss(p, y, np.ones((3, 3)), mu, var, cfg).item()
         assert abs(got - wce_loss(p, y, np.ones((3, 3)), cfg).item()) < 1e-12
 

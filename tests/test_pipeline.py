@@ -8,7 +8,7 @@ import pytest
 from edmb import diffcore as dc
 from edmb import netpbm
 from edmb.diffcore import nn
-from edmb.diffcore.io import FormatError, load_tensor_file, save_tensor_file
+from edmb.diffcore.io import FormatError, read_tensor, write_tensor
 from edmb.diffcore.tensor import Tensor
 from edmb.inference import predict_distribution
 from edmb.loss import LossConfig
@@ -332,6 +332,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="meta.step"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("first", [
+        pytest.param(("meta.step", np.array([5.0], dtype=np.float32)), id="meta.step"),
+        pytest.param(("param.a", np.ones(2, dtype=np.float32)), id="param"),
+    ])
+    def test_repeated_entry_is_format_error(self, tmp_path, first):
+        # the last of two entries with one name was kept, and the first
+        # dropped silently; the file holds the named entry twice
+        name, arr = first
+        ck = Checkpoint({name: arr, "param.b": np.zeros(2, dtype=np.float32)}, {}, 1, "f" * 16)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(ck, path)
+        if name == "param.a":  # rename param.b to a second param.a
+            path.write_bytes(path.read_bytes().replace(b"param.b", b"param.a"))
+        with pytest.raises(FormatError, match=f"x.ckpt: entry '{name}' appears twice"):
+            load_checkpoint(path)
+
     def test_adam_state_without_step_count_is_format_error(self):
         # a bare KeyError: 't' before
         p = Tensor(np.zeros((4, 3)), requires_grad=True)
@@ -409,6 +425,11 @@ class TestCheckpoint:
             block.load_state_arrays(load_checkpoint(tmp_path / "x.ckpt").state)
 
 
+def _read_tensor_file(path):
+    with open(path, "rb") as fh:
+        return read_tensor(fh)
+
+
 class TestCorruptFiles:
     """Truncated or byte-flipped files fail with a named error
     (FormatError, ImageFormatError or a plain ValueError), never with another
@@ -424,8 +445,9 @@ class TestCorruptFiles:
             save_checkpoint(ck, path)
             return load_checkpoint
         if kind == "tensor":
-            save_tensor_file(path, rng.random((10, 10), dtype=np.float32))
-            return load_tensor_file
+            with open(path, "wb") as fh:
+                write_tensor(fh, rng.random((10, 10), dtype=np.float32))
+            return _read_tensor_file
         if kind == "ppm":
             netpbm.write_ppm(path, rng.random((12, 12, 3)))
         else:
