@@ -621,17 +621,20 @@ def _block_channels(shape, kh, kw):
     return min(C, max(1, (1 << 16) // (B * ((H + kh - 1) * (W + kw - 1) + kw - 1))))
 
 
-def _depthwise_taps(w, src, dst):
+def _depthwise_taps(w, src, dst, turned=False):
     """dst = the sum over kernel taps (u, v), in row-major tap order, of
     w[:, u, v] times ``src`` shifted by the tap and zero-padded, for (C, kh,
-    kw) ``w`` and (B, C, H, W) ``src`` and ``dst`` (any strides). Each block
-    of padded planes (``_padded_blocks``) multiplies whole contiguous tap
-    slices into a product buffer and adds them in padded width; the 2*pw junk
-    columns of each row are cropped when the block is written out. The sum
-    starts from the first tap's product rather than from +0.0, which differs
-    only where every product is -0.0; the +0.0 added on the way out turns
-    that -0.0 into +0.0. So every element has the bits of one full-size
-    product per tap added into a zeroed output."""
+    kw) ``w`` and (B, C, H, W) ``src`` and ``dst`` (any strides). With
+    ``turned``, tap (u, v) shifts ``src`` by (kh-1-u, kw-1-v) instead: the
+    input gradient, which is the taps over ``src`` turned 180 degrees written
+    turned back, with neither array turned. Each block of padded planes
+    (``_padded_blocks``) multiplies whole contiguous tap slices into a
+    product buffer and adds them in padded width; the 2*pw junk columns of
+    each row are cropped when the block is written out. The sum starts from
+    the first tap's product rather than from +0.0, which differs only where
+    every product is -0.0; the +0.0 added on the way out turns that -0.0
+    into +0.0. So every element has the bits of one full-size product per
+    tap added into a zeroed output."""
     B, C, H, W = src.shape
     kh, kw = w.shape[1:]
     Wp = W + kw - 1
@@ -642,14 +645,12 @@ def _depthwise_taps(w, src, dst):
         m = block.shape[1]
         a, t = acc[: B * m * L].reshape(B, m, L), prod[: B * m * L].reshape(B, m, L)
         wb = w[c0 : c0 + m, :, :, None]
-        for u in range(kh):
-            for v in range(kw):
-                tap = block[..., u * Wp + v : u * Wp + v + L]
-                if u == v == 0:
-                    np.multiply(wb[:, u, v], tap, out=a)
-                else:
-                    np.multiply(wb[:, u, v], tap, out=t)
-                    a += t
+        for k in range(kh * kw):
+            u, v = divmod(k, kw)
+            off = (kh - 1 - u) * Wp + kw - 1 - v if turned else u * Wp + v
+            np.multiply(wb[:, u, v], block[..., off : off + L], out=t if k else a)
+            if k:
+                a += t
         np.add(a.reshape(B, m, H, Wp)[..., :W], 0.0, out=dst[:, c0 : c0 + m])
 
 
@@ -697,11 +698,10 @@ def _depthwise_conv2d(x, weight):
         if weight.requires_grad:
             gw = _depthwise_weight_grad(x.data, g, kh, kw)
         if x.requires_grad:
-            # the forward taps over g turned 180 degrees, written turned back.
-            # Each sum adds the taps a scatter of g would add, in its order,
-            # so the extra +-0 border terms change no bit.
+            # each sum adds the taps a scatter of g would add, in its order,
+            # so the extra +-0 border terms change no bit
             gx = np.empty((B, C, H, W), dtype=x.data.dtype)
-            _depthwise_taps(wk, g[:, :, ::-1, ::-1], gx[:, :, ::-1, ::-1])
+            _depthwise_taps(wk, g, gx, turned=True)
         return gx, gw
 
     return out, vjp
