@@ -99,7 +99,7 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     ckpt = train_stage(
         model, data, cfg,
-        init_ckpt=getattr(args, "init_from", None),
+        init_ckpt=args.init_from,
         resume_ckpt=args.resume,
         out_dir=args.out,
     )

@@ -12,7 +12,6 @@ from .tensor import (
     concat,
     conv2d,
     default_dtype,
-    div,
     exp,
     flip,
     grad_enabled,
@@ -32,7 +31,6 @@ from .tensor import (
     randn,
     relu,
     reshape,
-    set_default_dtype,
     sigmoid,
     softplus,
     sqrt,

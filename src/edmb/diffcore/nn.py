@@ -169,9 +169,10 @@ class Norm2d(Module):
     """Per-channel batch normalization with running statistics, optionally
     followed by a ReLU in the same op.
 
-    Training batches of size 1 fall back to per-item, per-channel (instance)
-    statistics over H,W; evaluation always uses the running statistics, so
-    inference is batch-size independent. One op in every mode, with the bits
+    Training normalizes with the batch's statistics over (B, H, W) and moves
+    the running statistics, except that a one-item batch leaves them as they
+    are; evaluation always uses the running statistics, so inference is
+    batch-size independent. One op in every mode, with the bits
     of ``((x - mu) * inv) * gamma + beta`` and, with ``relu``, of
     ``T.relu`` applied to that. One forward path whether or not a gradient
     follows: training writes the output over x - mu, evaluation subtracts
@@ -194,11 +195,10 @@ class Norm2d(Module):
         c_shape = (1, x.shape[1], 1, 1)
         batch = self.training
         if batch:
-            axes = (0, 2, 3) if x.shape[0] > 1 else (2, 3)
-            c = np.asarray(1.0 / math.prod(x.shape[a] for a in axes), dtype=dt)
-            mu = x.data.sum(axis=axes, keepdims=True) * c
+            c = np.asarray(1.0 / (x.shape[0] * x.shape[2] * x.shape[3]), dtype=dt)
+            mu = x.data.sum(axis=(0, 2, 3), keepdims=True) * c
             xc = x.data - mu
-            var = (xc * xc).sum(axis=axes, keepdims=True) * c
+            var = (xc * xc).sum(axis=(0, 2, 3), keepdims=True) * c
             if x.shape[0] > 1:
                 m = self.momentum
                 self.set_buffer("running_mean", (1 - m) * self.buffer("running_mean") + m * mu.reshape(-1))

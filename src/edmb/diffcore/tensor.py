@@ -10,6 +10,7 @@ by default; switch to 64-bit (``precision("float64")``) for verification.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -30,19 +31,14 @@ def default_dtype():
     return _state.dtype
 
 
-def set_default_dtype(dtype):
-    """Set the arithmetic dtype ('float32' or 'float64') for new tensors."""
+@contextlib.contextmanager
+def precision(dtype):
+    """Temporarily switch the arithmetic dtype of new tensors, 'float32' or
+    'float64' (e.g. 'float64' for fd checks)."""
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _state.dtype = dt.type
-
-
-@contextlib.contextmanager
-def precision(dtype):
-    """Temporarily switch the default dtype (e.g. 'float64' for fd checks)."""
-    prev = _state.dtype
-    set_default_dtype(dtype)
+    prev, _state.dtype = _state.dtype, dt.type
     try:
         yield
     finally:
@@ -111,18 +107,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-    # -- operators ------------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def as_tensor(x):
@@ -258,20 +242,6 @@ def mul(a, b):
     )
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return make_op(
-        a.data / b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-            if b.requires_grad else None,
-        ),
-        "div",
-    )
-
-
 def neg(a):
     a = as_tensor(a)
     return make_op(-a.data, (a,), lambda g: (-g,), "neg")
@@ -357,9 +327,7 @@ def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return make_op(np.asarray(out), (a,), vjp, "sum")
@@ -431,7 +399,9 @@ def narrow(a, axis, start, length):
 def matmul(a, b):
     """Matrix product with numpy batching rules on the leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    count_matmul_macs(a.shape, b.shape)
+    # (..., m, k) @ (..., k, n): batch * m * k * n
+    _count_macs(math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+                * a.shape[-2] * a.shape[-1] * b.shape[-1])
 
     def vjp(g):
         ga = gb = None
@@ -458,16 +428,6 @@ def profile_macs_stop():
 def _count_macs(n):
     if _state.macs is not None:
         _state.macs += int(n)
-
-
-def count_matmul_macs(a_shape, b_shape):
-    # (..., m, k) @ (..., k, n): batch * m * k * n
-    m, k = a_shape[-2], a_shape[-1]
-    n = b_shape[-1]
-    batch = 1
-    for d in np.broadcast_shapes(a_shape[:-2], b_shape[:-2]):
-        batch *= d
-    _count_macs(batch * m * k * n)
 
 
 def _im2col(x, kh, kw, out=None, rows=None):
@@ -746,9 +706,9 @@ def _resize_matrix(n_in, n_out, dtype):
     frac = src - p0
     p1 = np.clip(p0 + 1, 0, n_in - 1)
     p0 = np.clip(p0, 0, n_in - 1)
-    for i in range(n_out):
-        A[i, p0[i]] += 1.0 - frac[i]
-        A[i, p1[i]] += frac[i]
+    rows = np.arange(n_out)
+    np.add.at(A, (rows, p0), 1.0 - frac)
+    np.add.at(A, (rows, p1), frac)  # after p0's terms, where p1 == p0 at the edge
     return A
 
 
@@ -761,19 +721,14 @@ def bilinear_resize_raw(x, out_h, out_w):
     return np.matmul(np.matmul(Ay, x.astype(dt, copy=False)), Ax.T)
 
 
-def bilinear_at(a, yy, xx):
-    """Bilinear samples of the (H,W) array ``a`` at the float coordinates
-    (``yy``, ``xx``), which broadcast together. Coordinates are clamped to
-    the pixel-center range [0, H-1] x [0, W-1], so a point past the border
-    takes the edge value; shared by NMS and data aug."""
-    return bilinear_sampler(a.shape, yy, xx)(a)
-
-
 def bilinear_sampler(shape, yy, xx):
-    """``bilinear_at`` for many arrays of one (H,W) ``shape`` at the same
-    points: the clamped corners and fractions are computed once, and the
-    returned function gathers and blends one array with them, adding each
-    corner's term as soon as it is made."""
+    """A function that takes bilinear samples of an (H,W) array of ``shape``
+    at the float coordinates (``yy``, ``xx``), which broadcast together;
+    shared by NMS and data aug. Coordinates are clamped to the pixel-center
+    range [0, H-1] x [0, W-1], so a point past the border takes the edge
+    value. The clamped corners and fractions are computed once, and the
+    function gathers and blends one array with them, adding each corner's
+    term as soon as it is made."""
     H, W = shape
     y0 = np.clip(np.floor(yy).astype(int), 0, H - 1)
     x0 = np.clip(np.floor(xx).astype(int), 0, W - 1)

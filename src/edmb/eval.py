@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 
 from . import diffcore as dc
-from .diffcore.tensor import bilinear_at
+from .diffcore.tensor import bilinear_sampler
 
 
 def worker_count():
@@ -66,8 +66,8 @@ def nms_thin(prob):
     uy = np.where(norm > 1e-12, gy / np.maximum(norm, 1e-12), 0.0)
     H, W = E.shape
     ii, jj = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
-    ahead = bilinear_at(E, ii + uy, jj + ux)
-    behind = bilinear_at(E, ii - uy, jj - ux)
+    ahead = bilinear_sampler(E.shape, ii + uy, jj + ux)(E)
+    behind = bilinear_sampler(E.shape, ii - uy, jj - ux)(E)
     keep = (E * 1.01 >= ahead) & (E * 1.01 >= behind)
     out = E.copy()
     out[~keep] = 0.0

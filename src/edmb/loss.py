@@ -27,11 +27,12 @@ class LossConfig:
     eps: float = 1e-6         # probability and variance clamp
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         for name in ("varphi", "alpha2"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {getattr(self, name)}")
         if not 0 < self.eps <= 1e-3:
             raise ValueError("eps must lie in (0, 1e-3]")
 
@@ -43,8 +44,6 @@ def kl_loss(mu, var, eps=1e-6):
     """
     mu, var = dc.as_tensor(mu), dc.as_tensor(var)
     vc = dc.clamp_min(var, eps)
-    if np.any(vc.data <= 0):
-        raise ValueError("kl_loss: variance must be positive after clamping")
     terms = dc.sub(dc.add(dc.mul(mu, mu), vc), dc.add(dc.log(vc), 1.0))
     return dc.mul(dc.tmean(terms), 0.5)
 

@@ -320,18 +320,23 @@ class Adam:
 
     def load_state_arrays(self, arrays):
         """Load ``state_arrays`` output. A step count that is not one
-        non-negative integer, or a moment pair with an entry missing or not
-        of its parameter's shape, raises FormatError naming the entry."""
+        non-negative integer, a moment that is missing or not of its
+        parameter's shape, or a moment of a parameter this optimizer does not
+        hold (a checkpoint of the other stage) raises FormatError naming the
+        entry."""
         t = _count(arrays.get("t"), "optimizer state entry 't'")
-        loaded = [(name, p) for name, p in self.params if "m." + name in arrays]
-        for name, p in loaded:
-            for key in ("m." + name, "v." + name):
-                shape = arrays[key].shape if key in arrays else None
-                if shape != p.shape:
-                    raise FormatError(f"optimizer state entry {key!r} must have its "
-                                      f"parameter's shape {p.shape}, got {shape}")
+        shapes = {k + name: p.shape for name, p in self.params for k in ("m.", "v.")}
+        foreign = sorted(arrays.keys() - shapes.keys() - {"t"})
+        if foreign:
+            raise FormatError(f"optimizer state entry {foreign[0]!r} is not a moment of a "
+                              "parameter this optimizer holds")
+        for key, shape in shapes.items():
+            got = arrays[key].shape if key in arrays else None
+            if got != shape:
+                raise FormatError(f"optimizer state entry {key!r} must have its "
+                                  f"parameter's shape {shape}, got {got}")
         self.t = t
-        for name, _ in loaded:
+        for name, _ in self.params:
             self.m[name] = arrays["m." + name].astype(np.float64)
             self.v[name] = arrays["v." + name].astype(np.float64)
 

@@ -177,7 +177,6 @@ class SSMParams(nn.Module):
 
     def __init__(self, dim, state_dim, rng):
         super().__init__()
-        self.state_dim = state_dim
         # A = -exp(raw); init spreads decay rates over -(1..N)
         self.a_raw = dc.parameter(np.log(np.arange(1, state_dim + 1, dtype=np.float64)))
         self.b_proj = nn.Linear(dim, state_dim, rng)

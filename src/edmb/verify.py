@@ -158,7 +158,7 @@ GRAD_CHECKS = {
     "layernorm": _module(lambda rng: nn.LayerNorm(6), (2, 4, 6), (2, 4, 6),
                          lambda m: [m.gamma, m.beta]),
     "norm2d.batch": _norm2d(2),
-    "norm2d.instance_fallback": _norm2d(1),
+    "norm2d.one_item": _norm2d(1),
     "selective_scan": _module(
         lambda rng: ssm.SSMParams(4, 3, rng), (1, 6, 4), (1, 6, 4),
         lambda p: [p.a_raw, p.b_proj.weight, p.c_proj.weight, p.delta_proj.weight, p.delta_proj.bias],

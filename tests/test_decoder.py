@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -129,7 +130,8 @@ class TestGuideMaps:
                 c.zero_grad()
             outs = ([m for pair in guide_maps(sfts, guide) for m in pair] if stacked
                     else [c(guide) for c in convs])
-            dc.backward(sum((dc.tsum(dc.mul(r, o)) for r, o in zip(rs, outs)), dc.zeros(())))
+            terms = (dc.tsum(dc.mul(r, o)) for r, o in zip(rs, outs))
+            dc.backward(reduce(dc.add, terms, dc.zeros(())))
             return [o.data for o in outs] + [p.grad.copy() for c in convs for p in (c.weight, c.bias)]
 
         for a, b in zip(run(True), run(False)):

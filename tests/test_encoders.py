@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,7 @@ class TestFineEncoder:
         def grads_for(arr):
             fine.zero_grad()
             pyr = fine(Tensor(arr), rng=FixedRng())
-            loss = sum((dc.tsum(m) for m in pyr), dc.zeros(()))
+            loss = reduce(dc.add, (dc.tsum(m) for m in pyr), dc.zeros(()))
             dc.backward(loss)
             return {n: (p.grad.copy() if p.grad is not None else None)
                     for n, p in fine.named_parameters()}
@@ -166,7 +168,8 @@ class TestFineEncoder:
             return [window_reassemble([m[lvl] for m in per]) for lvl in range(3)]
 
         def trained(pyr):
-            dc.backward(sum((dc.tsum(dc.mul(r, m)) for r, m in zip(rs, pyr)), dc.zeros(())))
+            terms = (dc.tsum(dc.mul(r, m)) for r, m in zip(rs, pyr))
+            dc.backward(reduce(dc.add, terms, dc.zeros(())))
             grads = [p.grad for p in fine.parameters() if p.grad is not None]
             fine.zero_grad()
             return [m.data for m in pyr] + grads

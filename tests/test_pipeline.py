@@ -380,6 +380,23 @@ class TestCheckpoint:
             opt.load_state_arrays(state)
         assert opt.m["w"].shape == opt.v["w"].shape == (4, 3)
 
+    @pytest.mark.parametrize("held, saved", [
+        pytest.param(("w", "u"), ("w",), id="missing"),
+        pytest.param(("w",), ("w", "u"), id="foreign"),
+    ])
+    def test_adam_moments_of_other_parameters_are_format_error(self, held, saved):
+        # a parameter with no moments was skipped, keeping zero moments, and
+        # the moments of a parameter the optimizer does not hold were dropped;
+        # t was taken either way
+        shapes = {"w": (4, 3), "u": (2,)}
+        state = Adam([(n, Tensor(np.ones(shapes[n]), requires_grad=True)) for n in saved],
+                     1e-3).state_arrays()
+        state["t"] = np.array([5.0], dtype=np.float32)
+        opt = Adam([(n, Tensor(np.zeros(shapes[n]), requires_grad=True)) for n in held], 1e-3)
+        with pytest.raises(FormatError, match="'m.u'"):
+            opt.load_state_arrays(state)
+        assert opt.t == 0
+
     @pytest.mark.bits
     def test_demo_model_state_pinned(self):
         # names, shapes and initial values of the README demo model, in name
@@ -572,6 +589,9 @@ model.seed=3
         ("loss.lambda=nan", "lam"),
         ("loss.varphi=nan", "varphi"),
         ("loss.alpha2=nan", "alpha2"),
+        ("loss.lambda=inf", "lam"),
+        ("loss.varphi=inf", "varphi"),
+        ("loss.alpha2=inf", "alpha2"),
         ("model.embed_dim=0", "embed_dim"),
         ("model.state_dim=0", "state_dim"),
         ("model.patch_size=0", "patch_size"),
@@ -726,6 +746,16 @@ class TestTrainStage:
         with pytest.warns(UserWarning, match="different config"):
             ck2 = train_stage(model2, corpus, cfg2, resume_ckpt=ck)
         assert ck2.step == 5 and len(ck2.loss_history) == 2
+
+    def test_resume_from_other_stage_is_format_error(self, corpus):
+        # a fine run resumed from a global checkpoint ran on from the global
+        # step with zero fine moments, and only warned of a different config
+        cfg = tiny_train_cfg(steps=3, seed=5)
+        ck = train_stage(EdgeDetector(cfg.model), corpus, cfg)
+        fcfg = tiny_train_cfg(stage="fine", steps=5, seed=5)
+        with pytest.warns(UserWarning, match="different config"):
+            with pytest.raises(FormatError, match="entry 'm\\..*' is not a moment"):
+                train_stage(EdgeDetector(fcfg.model), corpus, fcfg, resume_ckpt=ck)
 
 
 class TestPadding:
