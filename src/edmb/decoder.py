@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import diffcore as dc
 from .diffcore import nn
-from .diffcore.tensor import Tensor
+from .diffcore.tensor import Tensor, depthwise_conv2d_over
 
 
 @dataclass
@@ -32,8 +32,9 @@ class MBConv(nn.Module):
     """Inverted-bottleneck fuse: 1x1 expand, 3x3 depthwise, 1x1 project.
 
     Hidden width is 4x the output width to keep the expansion bounded for
-    wide concatenated inputs; residual applies when in/out shapes match. No
-    name holds a consumed hidden map, so at most two are alive at a time."""
+    wide concatenated inputs; residual applies when in/out shapes match. With
+    no graph in eval mode, norm1, the depthwise conv and norm2 write their
+    ops' bits over expand's output, so one hidden map is alive, not two."""
 
     def __init__(self, in_ch, out_ch, rng):
         super().__init__()
@@ -47,8 +48,15 @@ class MBConv(nn.Module):
         self.norm3 = nn.Norm2d(out_ch)
 
     def __call__(self, x):
-        y = self.norm2(self.depthwise(self.norm1(self.expand(x))))
-        y = self.norm3(self.project(y))
+        if self.training or dc.grad_enabled() and any(t.requires_grad for t in [x, *self.parameters()]):
+            y = self.norm2(self.depthwise(self.norm1(self.expand(x))))
+        else:
+            y = self.expand(x)
+            self.norm1.eval_into(y.data, y.data)
+            depthwise_conv2d_over(y.data, self.depthwise.weight.data)
+            self.norm2.eval_into(y.data, y.data)
+        y = self.project(y)  # frees the hidden map before norm3 allocates
+        y = self.norm3(y)
         if self.residual:
             y = dc.add(y, x)
         return y
@@ -166,13 +174,17 @@ class LGDDecoder(nn.Module):
     def decode(self, guide, f_f, f_h):
         """``[main]``: the distribution of the fine pyramid modulated by
         ``guide``; in train mode, ``[main, aux]``, where ``aux`` reads the
-        unmodulated fine maps."""
+        unmodulated fine maps. Each map is popped into the op that consumes
+        it, so with no graph it is freed after its last use (the guide if the
+        caller does not hold it); train mode keeps the fused maps for aux."""
         levels = self._levels(f_f, f_h)
-        fm = self.cff_mean(levels)
-        fv = self.cff_var(levels)
-        mean_maps, var_maps = guide_maps([self.sft_mean, self.sft_var], guide)
-        out = [EdgeDistribution(self.mean_head(self.sft_mean(fm, *mean_maps)),
-                                dc.softplus(self.var_head(self.sft_var(fv, *var_maps))))]
+        fused = [self.cff_mean(levels), self.cff_var(levels)]
+        pairs = guide_maps([self.sft_mean, self.sft_var], guide)
+        del guide
+        fm, fv = fused if self.training else (None, None)
+        mu = self.mean_head(self.sft_mean(fused.pop(0), *pairs.pop(0)))
+        var = dc.softplus(self.var_head(self.sft_var(fused.pop(0), *pairs.pop(0))))
+        out = [EdgeDistribution(mu, var)]
         if self.training:
             out.append(EdgeDistribution(self.aux_mean_head(fm),
                                         dc.softplus(self.aux_var_head(fv))))

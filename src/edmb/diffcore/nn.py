@@ -97,7 +97,7 @@ class Module:
 
     def load_state_arrays(self, arrays):
         """Load every parameter and buffer; unknown, missing or mis-shaped
-        entries raise, naming the entry."""
+        entries raise, naming the entry, before any entry is loaded."""
         params = dict(self.named_parameters())
         owners = {prefix + k: (m, k) for prefix, m in self.named_modules() for k in m._buffers}
         shapes = {**{"param." + n: p.shape for n, p in params.items()},
@@ -108,15 +108,16 @@ class Module:
                 raise KeyError(f"unknown entry {key!r} in state")
             if tuple(arr.shape) != shapes[key]:
                 raise ValueError(f"state entry {key!r}: shape {arr.shape} != model {shapes[key]}")
+        missing = shapes.keys() - arrays.keys()
+        if missing:
+            raise KeyError(f"state is missing entries: {sorted(missing)[:4]} ...")
+        for key, arr in arrays.items():
             kind, _, name = key.partition(".")
             if kind == "param":
                 params[name].data = np.ascontiguousarray(arr, dtype=dt)
             else:
                 mod, local = owners[name]
                 mod.set_buffer(local, arr)
-        missing = shapes.keys() - arrays.keys()
-        if missing:
-            raise KeyError(f"state is missing entries: {sorted(missing)[:4]} ...")
 
 
 class Linear(Module):
@@ -193,7 +194,8 @@ class Norm2d(Module):
     def __call__(self, x):
         x, dt = T.as_tensor(x), T.default_dtype()
         c_shape = (1, x.shape[1], 1, 1)
-        batch = self.training
+        gamma, beta = self.gamma.data.reshape(c_shape), self.beta.data.reshape(c_shape)
+        relu, batch = self.relu, self.training
         if batch:
             c = np.asarray(1.0 / (x.shape[0] * x.shape[2] * x.shape[3]), dtype=dt)
             mu = x.data.sum(axis=(0, 2, 3), keepdims=True) * c
@@ -203,16 +205,12 @@ class Norm2d(Module):
                 m = self.momentum
                 self.set_buffer("running_mean", (1 - m) * self.buffer("running_mean") + m * mu.reshape(-1))
                 self.set_buffer("running_var", (1 - m) * self.buffer("running_var") + m * var.reshape(-1))
-            src, mu_src, out = xc, None, xc  # the output overwrites xc
+            ve = var + np.asarray(self.eps, dtype=dt)
+            inv = ve**-0.5
+            out = _norm_epilogue(xc, None, inv, gamma, beta, relu, xc)  # the output overwrites xc
         else:
-            mu = np.asarray(self.buffer("running_mean"), dtype=dt).reshape(c_shape)
-            var = np.asarray(self.buffer("running_var"), dtype=dt).reshape(c_shape)
-            src, mu_src, out = x.data, mu, np.empty_like(x.data)
-        ve = var + np.asarray(self.eps, dtype=dt)
-        inv = ve**-0.5
-        gamma, beta = self.gamma.data.reshape(c_shape), self.beta.data.reshape(c_shape)
-        relu = self.relu
-        out = _norm_epilogue(src, mu_src, inv, gamma, beta, relu, out)
+            out = np.empty_like(x.data)
+            mu, inv = self.eval_into(x.data, out)
 
         def vjp(g):
             # one scratch buffer takes each full-size product in turn; every
@@ -240,6 +238,17 @@ class Norm2d(Module):
             return gx, gg, gb
 
         return T.make_op(out, (x, self.gamma, self.beta), vjp, "norm2d")
+
+    def eval_into(self, src, out):
+        """Evaluation mode's output for the array ``src``, written into
+        ``out``, which may be ``src``; returns the (mu, inv) the adjoint reads."""
+        dt, c_shape = T.default_dtype(), (1, src.shape[1], 1, 1)
+        mu = np.asarray(self.buffer("running_mean"), dtype=dt).reshape(c_shape)
+        var = np.asarray(self.buffer("running_var"), dtype=dt).reshape(c_shape)
+        inv = (var + np.asarray(self.eps, dtype=dt)) ** -0.5
+        _norm_epilogue(src, mu, inv, self.gamma.data.reshape(c_shape),
+                       self.beta.data.reshape(c_shape), self.relu, out)
+        return mu, inv
 
 
 def _norm_epilogue(src, mu, inv, gamma, beta, relu, out):

@@ -382,7 +382,8 @@ def concat(tensors, axis):
 
 
 def narrow(a, axis, start, length):
-    """Differentiable slice of ``length`` elements from ``start`` along ``axis``."""
+    """Differentiable slice of ``length`` elements from ``start`` along
+    ``axis``; a view of ``a``'s data where the slice is contiguous, else a copy."""
     a = as_tensor(a)
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
@@ -393,7 +394,7 @@ def narrow(a, axis, start, length):
         out[idx] = g
         return (out,)
 
-    return make_op(a.data[idx].copy(), (a,), vjp, "narrow")
+    return make_op(a.data[idx], (a,), vjp, "narrow")
 
 
 def matmul(a, b):
@@ -584,7 +585,8 @@ def _block_channels(shape, kh, kw):
 def _depthwise_taps(w, src, dst, turned=False):
     """dst = the sum over kernel taps (u, v), in row-major tap order, of
     w[:, u, v] times ``src`` shifted by the tap and zero-padded, for (C, kh,
-    kw) ``w`` and (B, C, H, W) ``src`` and ``dst`` (any strides). With
+    kw) ``w`` and (B, C, H, W) ``src`` and ``dst`` (any strides; ``dst`` may
+    be ``src``: a block is copied to the scratch before it is written). With
     ``turned``, tap (u, v) shifts ``src`` by (kh-1-u, kw-1-v) instead: the
     input gradient, which is the taps over ``src`` turned 180 degrees written
     turned back, with neither array turned. Each block of padded planes
@@ -612,6 +614,13 @@ def _depthwise_taps(w, src, dst, turned=False):
             if k:
                 a += t
         np.add(a.reshape(B, m, H, Wp)[..., :W], 0.0, out=dst[:, c0 : c0 + m])
+
+
+def depthwise_conv2d_over(a, weight):
+    """The bias-free depthwise ``conv2d`` of an array ``a`` that nothing else
+    holds, written over ``a``, with MACs counted as ``conv2d`` counts them."""
+    _count_macs(a.size * weight.shape[2] * weight.shape[3])
+    _depthwise_taps(weight[:, 0], a, a)
 
 
 def _depthwise_weight_grad(x, g, kh, kw):

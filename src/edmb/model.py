@@ -76,8 +76,10 @@ class EdgeDetector(nn.Module):
         with dc.no_grad():
             f_g = self.global_enc(image)
             f_h = self.high_enc(image)
-            guide = self.decoder.guide(f_g, f_h)
-        return self.decoder.decode(guide, self.fine_enc(image, rng), f_h)
+            guide = [self.decoder.guide(f_g, f_h)]
+        del f_g
+        # popped, the guide is held by decode alone, which drops it once used
+        return self.decoder.decode(guide.pop(), self.fine_enc(image, rng), f_h)
 
     # -- parameter grouping (freezing, optimizer membership) ---------------------
 

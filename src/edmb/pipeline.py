@@ -597,8 +597,6 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
     if cfg.stage == "fine":
         if init_ckpt is None and resume_ckpt is None:
             raise ValueError("fine stage requires a global-stage checkpoint")
-        if init_ckpt is not None:
-            model.load_state_arrays(_as_checkpoint(init_ckpt).state)
         trainable = model.fine_param_names()
     else:
         trainable = model.global_param_names()
@@ -611,9 +609,13 @@ def train_stage(model: EdgeDetector, data, cfg: TrainConfig, init_ckpt=None,
         resume_ckpt = _as_checkpoint(resume_ckpt)
         if resume_ckpt.config_fingerprint != cfg.fingerprint():
             warnings.warn("resume checkpoint was written by a different config")
-        model.load_state_arrays(resume_ckpt.state)
+        # a moment set of the other stage raises here, before the model is touched
         opt.load_state_arrays(resume_ckpt.opt_state)
         step = resume_ckpt.step
+    if cfg.stage == "fine" and init_ckpt is not None:
+        model.load_state_arrays(_as_checkpoint(init_ckpt).state)
+    if resume_ckpt is not None:
+        model.load_state_arrays(resume_ckpt.state)
 
     master = np.random.default_rng(cfg.seed)
     order_rng, aug_rng, label_rng, window_rng, sample_rng = master.spawn(5)

@@ -9,7 +9,8 @@ import pytest
 
 from edmb import diffcore as dc
 from edmb.diffcore import nn
-from edmb.diffcore.tensor import Tensor, _conv2d_dense_raw, _im2col, bilinear_sampler
+from edmb.diffcore.tensor import (Tensor, _conv2d_dense_raw, _depthwise_taps, _im2col,
+                                  bilinear_sampler, depthwise_conv2d_over)
 
 
 def same_pad(x, kh, kw):
@@ -280,6 +281,19 @@ class TestConv2d:
         np.testing.assert_allclose(gb, gb_d, atol=1e-12)
 
 
+DEPTHWISE_BLOCK_SHAPES = [
+    ((1, 4, 260, 260), (3, 3)),  # one channel per block
+    ((1, 5, 150, 150), (3, 3)),  # blocks of 2, 2 and a short last one of 1
+    ((2, 3, 40, 40), (3, 3)),
+    ((1, 6, 50, 50), (5, 5)),
+    ((2, 7, 120, 90), (5, 5)),
+    ((1, 5, 150, 150), (3, 5)),  # pads 1 row and 2 columns
+    ((3, 64, 32, 32), (3, 3)),  # blocks of 18, 18, 18 and 10 channels of all 3 items
+    ((4, 51, 16, 16), (3, 3)),  # blocks of 50 and a one-channel tail
+    ((9, 3, 50, 50), (3, 3)),  # nine items, blocks of 2 and 1 channels
+]
+
+
 class TestExactKernels:
     """Blocked and in-place kernels give the bits of their plain forms."""
 
@@ -299,17 +313,7 @@ class TestExactKernels:
         assert np.array_equal(bits(x.grad), bits(ref_gx))
         assert np.array_equal(bits(w.grad), bits(ref_gw))
 
-    @pytest.mark.parametrize("shape,k", [
-        ((1, 4, 260, 260), (3, 3)),  # one channel per block
-        ((1, 5, 150, 150), (3, 3)),  # blocks of 2, 2 and a short last one of 1
-        ((2, 3, 40, 40), (3, 3)),
-        ((1, 6, 50, 50), (5, 5)),
-        ((2, 7, 120, 90), (5, 5)),
-        ((1, 5, 150, 150), (3, 5)),  # pads 1 row and 2 columns
-        ((3, 64, 32, 32), (3, 3)),  # blocks of 18, 18, 18 and 10 channels of all 3 items
-        ((4, 51, 16, 16), (3, 3)),  # blocks of 50 and a one-channel tail
-        ((9, 3, 50, 50), (3, 3)),  # nine items, blocks of 2 and 1 channels
-    ])
+    @pytest.mark.parametrize("shape,k", DEPTHWISE_BLOCK_SHAPES)
     def test_depthwise_blocks_match_tap_loop_bitwise(self, rng, shape, k):
         C = shape[1]
         kh, kw = k
@@ -329,6 +333,31 @@ class TestExactKernels:
         assert np.array_equal(bits(out.data), bits(ref_out))
         assert np.array_equal(bits(x.grad), bits(ref_gx))
         assert np.array_equal(bits(w.grad), bits(ref_gw))
+
+    @pytest.mark.parametrize("shape,k", DEPTHWISE_BLOCK_SHAPES)
+    @pytest.mark.parametrize("turned", [False, True])
+    def test_depthwise_taps_over_their_source_match_a_separate_output(self, rng, shape, k, turned):
+        # each block of the source is copied into the padded scratch before
+        # that block of the output is written, so dst may be src
+        src = rng.standard_normal(shape).astype(np.float32)
+        src[:, :, 0] = -0.0
+        w = rng.standard_normal((shape[1],) + k).astype(np.float32)
+        dst = np.empty_like(src)
+        _depthwise_taps(w, src, dst, turned)
+        _depthwise_taps(w, src, src, turned)
+        assert np.array_equal(bits(src), bits(dst))
+
+    def test_depthwise_over_matches_conv2d_and_its_mac_count(self, rng):
+        x = dc.randn(rng, (2, 6, 20, 30))
+        w = dc.randn(rng, (6, 1, 3, 3))
+        dc.profile_macs_start()
+        want = dc.conv2d(x, w, groups=6)
+        want_macs = dc.profile_macs_stop()
+        got = x.data.copy()
+        dc.profile_macs_start()
+        depthwise_conv2d_over(got, w.data)
+        assert dc.profile_macs_stop() == want_macs
+        assert np.array_equal(bits(got), bits(want.data))
 
     def test_depthwise_sums_of_negative_zeros_are_positive_zero(self):
         # every tap product of an interior pixel is -0.0, and a sum from +0.0
@@ -813,6 +842,18 @@ class TestGraph:
                     assert pos[id(p)] < pos[id(node)]
 
 
+class TestNarrow:
+    def test_contiguous_slice_is_a_view_and_a_strided_one_a_copy(self, rng):
+        one = dc.randn(rng, (1, 6, 4, 5))
+        two = dc.randn(rng, (2, 6, 4, 5))
+        view, copy = dc.narrow(one, 1, 2, 3), dc.narrow(two, 1, 2, 3)
+        assert np.shares_memory(view.data, one.data)
+        assert not np.shares_memory(copy.data, two.data)
+        assert view.data.flags.c_contiguous and copy.data.flags.c_contiguous
+        np.testing.assert_array_equal(view.data, one.data[:, 2:5])
+        np.testing.assert_array_equal(copy.data, two.data[:, 2:5])
+
+
 class TestTensorIO:
     @staticmethod
     def _written(arr):
@@ -858,11 +899,12 @@ class TestNorm2d:
         assert out.op == "norm2d"
         assert out._parents == (x, bn.gamma, bn.beta)
 
-    def test_batch1_group_fallback_is_per_sample(self, rng):
+    def test_one_item_batch_uses_its_own_statistics(self, rng):
+        # a one-item batch normalizes with its own (0, 2, 3) statistics, and
+        # a batch of 2 with the joint ones, so the outputs must differ
         bn = nn.Norm2d(2)
         a = dc.randn(rng, (1, 2, 4, 4))
         out_a = bn(a).data
         both = Tensor(np.concatenate([a.data, 5.0 + a.data]))
-        # batch of 2 uses joint stats, so the outputs must differ
         out_b = bn(both).data[:1]
         assert not np.allclose(out_a, out_b)

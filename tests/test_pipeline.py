@@ -441,6 +441,24 @@ class TestCheckpoint:
         with pytest.raises(KeyError, match="'junk.x'"):
             block.load_state_arrays(load_checkpoint(tmp_path / "x.ckpt").state)
 
+    @pytest.mark.parametrize("bad", ["missing", "unknown", "mis-shaped"])
+    def test_bad_entry_leaves_every_entry_unchanged(self, rng, bad):
+        # entries were assigned as they were checked, so the ones before the
+        # bad entry (or all of them, for a missing one) were already loaded
+        block = nn.ConvNormRelu(3, 4, rng)
+        before = block.state_arrays()
+        state = {k: v + 1.0 for k, v in before.items()}
+        if bad == "missing":
+            del state["buffer.norm.running_var"]
+        elif bad == "unknown":
+            state["buffer.norm.extra"] = np.zeros(4, dtype=np.float32)
+        else:
+            state["buffer.norm.running_var"] = np.zeros(1, dtype=np.float32)
+        with pytest.raises((KeyError, ValueError), match="running_var|extra"):
+            block.load_state_arrays(state)
+        after = block.state_arrays()
+        assert [k for k in before if not np.array_equal(after[k], before[k])] == []
+
 
 def _read_tensor_file(path):
     with open(path, "rb") as fh:
@@ -753,9 +771,14 @@ class TestTrainStage:
         cfg = tiny_train_cfg(steps=3, seed=5)
         ck = train_stage(EdgeDetector(cfg.model), corpus, cfg)
         fcfg = tiny_train_cfg(stage="fine", steps=5, seed=5)
+        model = EdgeDetector(fcfg.model)
+        before = model.state_arrays()
         with pytest.warns(UserWarning, match="different config"):
             with pytest.raises(FormatError, match="entry 'm\\..*' is not a moment"):
-                train_stage(EdgeDetector(fcfg.model), corpus, fcfg, resume_ckpt=ck)
+                train_stage(model, corpus, fcfg, resume_ckpt=ck)
+        # the model state was loaded before the moments were checked
+        after = model.state_arrays()
+        assert [k for k in before if not np.array_equal(after[k], before[k])] == []
 
 
 class TestPadding:
