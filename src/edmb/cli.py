@@ -10,6 +10,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -89,11 +90,9 @@ def cmd_train(args):
     from .model import EdgeDetector
     from .pipeline import load_dataset, parse_config, train_stage
 
-    cfg = parse_config(args.config)
-    cfg.stage = args.stage
+    cfg = replace(parse_config(args.config), stage=args.stage)
     if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.__post_init__()
+        cfg = replace(cfg, seed=args.seed)
     data = load_dataset(args.data, args.list_file)
     model = EdgeDetector(cfg.model)
     os.makedirs(args.out, exist_ok=True)

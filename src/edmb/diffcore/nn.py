@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import tensor as T
+from .io import FormatError
 from .tensor import Tensor
 
 
@@ -96,8 +97,8 @@ class Module:
         return out
 
     def load_state_arrays(self, arrays):
-        """Load every parameter and buffer; unknown, missing or mis-shaped
-        entries raise, naming the entry, before any entry is loaded."""
+        """Load every parameter and buffer; an unknown, missing or mis-shaped
+        entry raises FormatError naming it, before any entry is loaded."""
         params = dict(self.named_parameters())
         owners = {prefix + k: (m, k) for prefix, m in self.named_modules() for k in m._buffers}
         shapes = {**{"param." + n: p.shape for n, p in params.items()},
@@ -105,12 +106,13 @@ class Module:
         dt = T.default_dtype()
         for key, arr in arrays.items():
             if key not in shapes:
-                raise KeyError(f"unknown entry {key!r} in state")
+                raise FormatError(f"unknown entry {key!r} in state")
             if tuple(arr.shape) != shapes[key]:
-                raise ValueError(f"state entry {key!r}: shape {arr.shape} != model {shapes[key]}")
-        missing = shapes.keys() - arrays.keys()
+                raise FormatError(f"state entry {key!r}: shape {arr.shape} != model {shapes[key]}")
+        missing = sorted(shapes.keys() - arrays.keys())
         if missing:
-            raise KeyError(f"state is missing entries: {sorted(missing)[:4]} ...")
+            raise FormatError(f"state is missing entry {missing[0]!r}"
+                              + (f" and {len(missing) - 1} more" if len(missing) > 1 else ""))
         for key, arr in arrays.items():
             kind, _, name = key.partition(".")
             if kind == "param":

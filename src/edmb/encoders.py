@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import diffcore as dc
 from .diffcore import nn
-from .ssm import PatchEmbed, PatchMerge, VimBlock
+from .ssm import PatchEmbed, PatchMerge, VimBlock, tokens_to_map
 
 
 class MambaEncoder(nn.Module):
@@ -38,19 +38,18 @@ class MambaEncoder(nn.Module):
         H, W = image.shape[2], image.shape[3]
         if H % self.multiple or W % self.multiple:
             raise ValueError(f"encoder input {H}x{W} must be divisible by {self.multiple}")
-        seq = self.patch(image)
+        P = self.patch.patch_size
+        grid = (H // P, W // P)
+        x = self.patch(image)
         maps = []
-        for blk in self.stage0:
-            seq = blk(seq)
-        maps.append(seq.to_map())
-        seq = self.merge01(seq)
-        for blk in self.stage1:
-            seq = blk(seq)
-        maps.append(seq.to_map())
-        seq = self.merge12(seq)
-        for blk in self.stage2:
-            seq = blk(seq)
-        maps.append(seq.to_map())
+        for merge, blocks in ((None, self.stage0), (self.merge01, self.stage1),
+                              (self.merge12, self.stage2)):
+            if merge is not None:
+                x = merge(x, grid)
+                grid = (grid[0] // 2, grid[1] // 2)
+            for blk in blocks:
+                x = blk(x)
+            maps.append(tokens_to_map(x, grid))
         return maps
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,14 +107,20 @@ def build_model(cfg: ModelConfig) -> EdgeDetector:
     return EdgeDetector(cfg)
 
 
+# the fields a checkpoint's model vector encodes, in field order: every
+# ModelConfig field but ``seed``, a tuple field as its default's length of ints
+_ENCODED_FIELDS = [(f.name, f.default) for f in fields(ModelConfig) if f.name != "seed"]
+_ENCODED_LEN = 1 + sum(len(d) if isinstance(d, tuple) else 1 for _, d in _ENCODED_FIELDS)
+
+
 def model_config_to_array(cfg: ModelConfig):
-    """Encode the architecture as a small integer vector for checkpoints."""
-    return np.array(
-        [1, cfg.embed_dim, *cfg.depths, cfg.state_dim, cfg.patch_size,
-         *cfg.base_hw, cfg.window_keep, cfg.decoder_ch, cfg.head_blocks,
-         cfg.highres_ch],
-        dtype=np.float32,
-    )
+    """Encode the architecture as a small integer vector for checkpoints: the
+    version 1, then each ``_ENCODED_FIELDS`` value, tuples flattened."""
+    vals = [1]
+    for name, _ in _ENCODED_FIELDS:
+        v = getattr(cfg, name)
+        vals += list(v) if isinstance(v, (tuple, list)) else [v]
+    return np.array(vals, dtype=np.float32)
 
 
 def model_config_from_array(arr) -> ModelConfig:
@@ -127,11 +133,9 @@ def model_config_from_array(arr) -> ModelConfig:
     vals = [int(v) for v in arr]
     if not vals or vals[0] != 1:
         raise ValueError(f"unsupported model-config encoding version {vals[:1]}")
-    if len(vals) != 13:
-        raise ValueError(f"model-config encoding has {len(vals)} values, expected 13")
-    (_, embed, d0, d1, d2, state, patch, bh, bw, keep, dec, headb, hrch) = vals
-    return ModelConfig(
-        embed_dim=embed, depths=(d0, d1, d2), state_dim=state, patch_size=patch,
-        base_hw=(bh, bw), window_keep=keep, decoder_ch=dec, head_blocks=headb,
-        highres_ch=hrch,
-    )
+    if len(vals) != _ENCODED_LEN:
+        raise ValueError(f"model-config encoding has {len(vals)} values, expected {_ENCODED_LEN}")
+    rest = iter(vals[1:])
+    return ModelConfig(**{
+        name: tuple(next(rest) for _ in default) if isinstance(default, tuple) else next(rest)
+        for name, default in _ENCODED_FIELDS})

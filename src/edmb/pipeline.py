@@ -17,7 +17,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -379,42 +379,40 @@ class TrainConfig:
         return 4 if self.stage == "global" else 3
 
     def fingerprint(self):
-        text = repr(self)
+        """A hash of every field that changes a step: ``max_steps`` and
+        ``save_every`` are left out, so a resume to more steps matches."""
+        text = repr(replace(self, max_steps=0, save_every=0))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-# flat key=value schema: every TrainConfig field but ``stage`` (set by
-# ``edmb train --stage``) has a documented key
-CONFIG_KEYS = {
-    "batch_size": ("batch_size", int),
-    "lr": ("lr", float),
-    "weight_decay": ("weight_decay", float),
-    "max_steps": ("max_steps", int),
-    "seed": ("seed", int),
-    "label_mode": ("label_mode", str),
-    "mixed_threshold": ("mixed_threshold", float),
-    "augment": ("augment_recipe", str),
-    "save_every": ("save_every", int),
-    "loss.lambda": ("loss.lam", float),
-    "loss.varphi": ("loss.varphi", float),
-    "loss.alpha2": ("loss.alpha2", float),
-    "loss.eps": ("loss.eps", float),
-    "model.embed_dim": ("model.embed_dim", int),
-    "model.depths": ("model.depths", lambda s: tuple(int(x) for x in s.split(","))),
-    "model.state_dim": ("model.state_dim", int),
-    "model.patch_size": ("model.patch_size", int),
-    "model.base_hw": ("model.base_hw", lambda s: tuple(int(x) for x in s.split(","))),
-    "model.window_keep": ("model.window_keep", int),
-    "model.decoder_ch": ("model.decoder_ch", int),
-    "model.head_blocks": ("model.head_blocks", int),
-    "model.highres_ch": ("model.highres_ch", int),
-    "model.seed": ("model.seed", int),
-}
+# the config-file keys that differ from their field path
+CONFIG_ALIASES = {"augment": "augment_recipe", "loss.lambda": "loss.lam"}
+_CONVERTERS = {int: int, float: float, str: str,
+               tuple: lambda s: tuple(int(x) for x in s.split(","))}
+
+
+def config_keys(cls=TrainConfig, prefix=""):
+    """Config-file key -> (field path, converter) for every field of ``cls``
+    but ``stage`` (set by ``edmb train --stage``), walking into the nested
+    ``loss.`` and ``model.`` configs. A key is its field path, or its
+    ``CONFIG_ALIASES`` name; the converter follows the default's type, and a
+    tuple is comma-separated ints."""
+    key_of = {path: key for key, path in CONFIG_ALIASES.items()}
+    out = {}
+    for f in fields(cls):
+        path = prefix + f.name
+        if f.default is MISSING:  # a nested config, built by its default_factory
+            out.update(config_keys(f.default_factory, path + "."))
+        elif path != "stage":
+            out[key_of.get(path, path)] = (path, _CONVERTERS[type(f.default)])
+    return out
 
 
 def parse_config(path):
-    """Parse a flat UTF-8 key=value file into a TrainConfig; unknown keys fail."""
-    cfg = TrainConfig()
+    """Parse a flat UTF-8 key=value file into a TrainConfig; unknown or
+    repeated keys fail."""
+    keys = config_keys()
+    values, lines = {}, {}
     for lineno, line in enumerate(read_text_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -423,22 +421,22 @@ def parse_config(path):
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        dest, conv = CONFIG_KEYS[key]
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        dest, conv = keys[key]
         try:
-            value = conv(raw)
+            values[dest] = conv(raw)
         except Exception as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
-        obj = cfg
-        parts = dest.split(".")
-        for part in parts[:-1]:
-            obj = getattr(obj, part)
-        setattr(obj, parts[-1], value)
-    cfg.__post_init__()
-    cfg.loss.__post_init__()
-    cfg.model.__post_init__()
-    return cfg
+
+    def nested(prefix):
+        return {k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)}
+
+    return TrainConfig(**{k: v for k, v in values.items() if "." not in k},
+                       loss=LossConfig(**nested("loss.")), model=ModelConfig(**nested("model.")))
 
 
 # -- checkpoints ------------------------------------------------------------------

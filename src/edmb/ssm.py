@@ -10,8 +10,6 @@ adjoint; an O(M^2) kernel-form oracle cross-checks it in the LTI case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diffcore as dc
@@ -56,31 +54,6 @@ def discretize_zoh(a_diag, b, delta):
         raise FloatingPointError("discretize_zoh: exp(delta*A) overflowed")
     b_bar = d * _phi(z) * b
     return a_bar, b_bar
-
-
-# -- token sequences ---------------------------------------------------------------
-
-
-@dataclass
-class TokenSequence:
-    """Tokens (B, M, D) plus the spatial patch grid they came from."""
-
-    tokens: Tensor
-    grid: tuple  # (h, w) with h*w == M
-
-    def __post_init__(self):
-        h, w = self.grid
-        if h * w != self.tokens.shape[1]:
-            raise ValueError(
-                f"token count {self.tokens.shape[1]} != grid {h}x{w}"
-            )
-
-    def to_map(self):
-        """Reshape (B, M, D) tokens to a (B, D, h, w) feature map."""
-        B, M, D = self.tokens.shape
-        h, w = self.grid
-        t = dc.reshape(self.tokens, (B, h, w, D))
-        return dc.transpose(t, (0, 3, 1, 2))
 
 
 # -- the scan primitive ---------------------------------------------------------
@@ -194,46 +167,39 @@ class SSMParams(nn.Module):
         return delta, self.b_proj(x), self.c_proj(x)
 
 
-def selective_scan(seq, params, direction="forward"):
-    """Run the selective scan over a token sequence in one direction.
-
-    The backward direction reverses the token order, scans, and reverses the
-    output, so it equals reverse . forward-scan . reverse by construction.
-    """
-    (y,) = selective_scans(seq, [(params, direction)])
-    return y
-
-
-def selective_scans(seq, scans):
-    """One selective scan of ``seq`` per ``(params, direction)`` pair, as
-    ``selective_scan`` runs it, with all their recurrences in one token loop;
-    returns one TokenSequence per pair."""
+def selective_scans(x, scans):
+    """One selective scan of the (B, M, D) tokens ``x`` per ``(params,
+    direction)`` pair, with all their recurrences in one token loop; returns
+    one (B, M, D) tensor per pair. The backward direction reverses the token
+    order, scans, and reverses the output, so it equals reverse .
+    forward-scan . reverse by construction."""
     args = []
     for params, direction in scans:
         if direction not in ("forward", "backward"):
             raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-        x = seq.tokens
-        delta, b_tok, c_tok = params.per_token(x)
+        u = x
+        delta, b_tok, c_tok = params.per_token(u)
         if direction == "backward":
-            x = dc.flip(x, 1)
+            u = dc.flip(u, 1)
             delta = dc.flip(delta, 1)
             b_tok = dc.flip(b_tok, 1)
             c_tok = dc.flip(c_tok, 1)
-        args += [x, delta, params.a_diag(), b_tok, c_tok]
+        args += [u, delta, params.a_diag(), b_tok, c_tok]
     ys = selective_scan_core(*args)
-    return [TokenSequence(dc.flip(y, 1) if direction == "backward" else y, seq.grid)
+    return [dc.flip(y, 1) if direction == "backward" else y
             for y, (_, direction) in zip(ys, scans)]
 
 
-def scan_kernel_oracle(seq, params):
-    """O(M^2) kernel-form reference: y = x * (CB, CAB, ..., CA^{M-1}B).
+def scan_kernel_oracle(tokens, params):
+    """O(M^2) kernel-form reference: y = x * (CB, CAB, ..., CA^{M-1}B) for
+    (B, M, D) tokens x.
 
     Only valid when the per-token parameters are token-independent (LTI);
     token-varying parameters are rejected. Test-only, no gradients.
     """
     with dc.no_grad():
-        x = seq.tokens.data
-        delta, b_tok, c_tok = params.per_token(seq.tokens)
+        x = tokens.data
+        delta, b_tok, c_tok = params.per_token(tokens)
         delta, b_tok, c_tok = delta.data, b_tok.data, c_tok.data
         a = params.a_diag().data
     B, M, D = x.shape
@@ -253,7 +219,7 @@ def scan_kernel_oracle(seq, params):
         kernel = (powers * b_bar[None, :]) @ c0  # (M,)
         for t in range(M):
             y[bi, t] = kernel[: t + 1][::-1] @ x[bi, : t + 1]
-    return TokenSequence(Tensor(y.astype(x.dtype)), seq.grid)
+    return Tensor(y.astype(x.dtype))
 
 
 class VimBlock(nn.Module):
@@ -266,11 +232,9 @@ class VimBlock(nn.Module):
         self.bwd = SSMParams(dim, state_dim, rng)
         self.proj = nn.Linear(dim, dim, rng)
 
-    def __call__(self, seq):
-        normed = TokenSequence(self.norm(seq.tokens), seq.grid)
-        yf, yb = selective_scans(normed, [(self.fwd, "forward"), (self.bwd, "backward")])
-        mixed = self.proj(dc.add(yf.tokens, yb.tokens))
-        return TokenSequence(dc.add(mixed, seq.tokens), seq.grid)
+    def __call__(self, x):
+        yf, yb = selective_scans(self.norm(x), [(self.fwd, "forward"), (self.bwd, "backward")])
+        return dc.add(self.proj(dc.add(yf, yb)), x)
 
 
 class PatchEmbed(nn.Module):
@@ -300,6 +264,7 @@ class PatchEmbed(nn.Module):
         return dc.reshape(grid, (h * w, self.embed_dim))
 
     def __call__(self, image):
+        """(B, 3, H, W) image -> (B, (H/P)*(W/P), D) tokens, row-major over the patch grid."""
         B, C, H, W = image.shape
         P = self.patch_size
         if H % P or W % P:
@@ -310,8 +275,7 @@ class PatchEmbed(nn.Module):
         x = dc.reshape(image, (B, C, h, P, w, P))
         x = dc.transpose(x, (0, 2, 4, 1, 3, 5))  # (B,h,w,C,P,P)
         x = dc.reshape(x, (B, h * w, C * P * P))
-        tokens = dc.add(self.proj(x), self._pos_for_grid(h, w))
-        return TokenSequence(tokens, (h, w))
+        return dc.add(self.proj(x), self._pos_for_grid(h, w))
 
 
 class PatchMerge(nn.Module):
@@ -321,12 +285,21 @@ class PatchMerge(nn.Module):
         super().__init__()
         self.reduce = nn.Linear(4 * dim, 2 * dim, rng)
 
-    def __call__(self, seq):
-        B, M, D = seq.tokens.shape
-        h, w = seq.grid
+    def __call__(self, tokens, grid):
+        """(B, h*w, D) tokens of the (h, w) grid -> (B, h/2*w/2, 2D) tokens."""
+        B, M, D = tokens.shape
+        h, w = grid
         if h % 2 or w % 2:
             raise ValueError(f"patch merge needs an even grid, got {h}x{w}")
-        x = dc.reshape(seq.tokens, (B, h // 2, 2, w // 2, 2, D))
+        x = dc.reshape(tokens, (B, h // 2, 2, w // 2, 2, D))
         x = dc.transpose(x, (0, 1, 3, 2, 4, 5))  # (B,h/2,w/2,2,2,D)
         x = dc.reshape(x, (B, (h // 2) * (w // 2), 4 * D))
-        return TokenSequence(self.reduce(x), (h // 2, w // 2))
+        return self.reduce(x)
+
+
+def tokens_to_map(tokens, grid):
+    """Reshape (B, h*w, D) tokens of the (h, w) grid to a (B, D, h, w) feature map."""
+    B, M, D = tokens.shape
+    h, w = grid
+    t = dc.reshape(tokens, (B, h, w, D))
+    return dc.transpose(t, (0, 3, 1, 2))

@@ -97,7 +97,7 @@ def _norm2d(B):
 
 def _patch_merge(rng):
     pe, pm = ssm.PatchEmbed(2, 5, (2, 2), rng), ssm.PatchMerge(5, rng)
-    return _weighted(rng, lambda x: pm(pe(x)).tokens, _rand(rng, (1, 3, 4, 4)), (1, 1, 10),
+    return _weighted(rng, lambda x: pm(pe(x), (2, 2)), _rand(rng, (1, 3, 4, 4)), (1, 1, 10),
                      [pm.reduce.weight])
 
 
@@ -162,12 +162,11 @@ GRAD_CHECKS = {
     "selective_scan": _module(
         lambda rng: ssm.SSMParams(4, 3, rng), (1, 6, 4), (1, 6, 4),
         lambda p: [p.a_raw, p.b_proj.weight, p.c_proj.weight, p.delta_proj.weight, p.delta_proj.bias],
-        lambda p, x: ssm.selective_scan(ssm.TokenSequence(x, (2, 3)), p, "forward").tokens),
+        lambda p, x: ssm.selective_scans(x, [(p, "forward")])[0]),
     "vim_block": _module(lambda rng: ssm.VimBlock(4, 3, rng), (1, 4, 4), (1, 4, 4),
-                         lambda m: m.parameters()[:6],
-                         lambda m, x: m(ssm.TokenSequence(x, (2, 2))).tokens),
+                         lambda m: m.parameters()[:6]),
     "patch_embed": _module(lambda rng: ssm.PatchEmbed(2, 5, (2, 2), rng), (1, 3, 4, 4), (1, 4, 5),
-                           lambda m: [m.proj.weight, m.pos], lambda m, x: m(x).tokens),
+                           lambda m: [m.proj.weight, m.pos]),
     "patch_merge": _patch_merge,
     "mbconv": _module(lambda rng: MBConv(3, 3, rng), (2, 3, 4, 4), (2, 3, 4, 4),
                       lambda m: [m.expand.weight, m.depthwise.weight, m.project.weight]),
@@ -228,7 +227,6 @@ def oracle_suite():
             N = int(rng.integers(1, 9))
             D = int(rng.integers(1, 5))
             M = int(rng.integers(2, 65))
-            grid = (1, M)
             p = ssm.SSMParams(D, N, rng)
             p.b_proj.weight.data[:] = 0
             p.c_proj.weight.data[:] = 0
@@ -237,9 +235,8 @@ def oracle_suite():
             p.c_proj.bias.data[:] = rng.standard_normal(N)
             p.delta_proj.bias.data[:] = rng.uniform(-1.0, 1.0)
             x = dc.randn(rng, (1, M, D))
-            seq = ssm.TokenSequence(x, grid)
-            y_scan = ssm.selective_scan(seq, p, "forward").tokens.data
-            y_kern = ssm.scan_kernel_oracle(seq, p).tokens.data
+            y_scan = ssm.selective_scans(x, [(p, "forward")])[0].data
+            y_kern = ssm.scan_kernel_oracle(x, p).data
             worst = max(worst, float(np.abs(y_scan - y_kern).max()))
         add("scan.kernel_equivalence_50", worst, 1e-6)
 

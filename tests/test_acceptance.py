@@ -63,9 +63,9 @@ def test_criterion_02_ssm_oracle():
             p.b_proj.bias.data[:] = rng.standard_normal(N)
             p.c_proj.bias.data[:] = rng.standard_normal(N)
             p.delta_proj.bias.data[:] = float(rng.uniform(-1.0, 1.0))
-            seq = ssm.TokenSequence(dc.randn(rng, (1, M, D)), (1, M))
-            ys = ssm.selective_scan(seq, p, "forward").tokens.data
-            yk = ssm.scan_kernel_oracle(seq, p).tokens.data
+            x = dc.randn(rng, (1, M, D))
+            ys = ssm.selective_scans(x, [(p, "forward")])[0].data
+            yk = ssm.scan_kernel_oracle(x, p).data
             worst = max(worst, float(np.abs(ys - yk).max()))
     ok = worst < 1e-6 and zoh_err < 1e-9
     assert _line(2, ok, f"50 LTI instances worst {worst:.2e} (< 1e-6), "

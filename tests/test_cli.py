@@ -10,6 +10,7 @@ import pytest
 
 from edmb import netpbm, verify
 from edmb.cli import build_parser, main
+from edmb.pipeline import load_checkpoint, save_checkpoint
 from edmb.synth import make_shape_corpus, write_corpus
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_flags.json")
@@ -114,6 +115,18 @@ class TestInferSweep:
                      "--out-dir", str(sweep_dir), "--gammas", "nan:1:3"]) == 1
         assert "finite" in capsys.readouterr().err
         assert not sweep_dir.exists()
+
+
+    def test_checkpoint_missing_an_entry_exits_1_naming_it(self, workspace, tmp_path, capsys):
+        # the KeyError printed its message in quotes: error: "state is missing ..."
+        ckpt = load_checkpoint(workspace["ckpt"])
+        del ckpt.state["param.decoder.edge_head.final.bias"]
+        save_checkpoint(ckpt, tmp_path / "cut.ckpt")
+        img = workspace["data"] / "images" / "shape00.ppm"
+        assert main(["infer", "--ckpt", str(tmp_path / "cut.ckpt"), "--image", str(img),
+                     "--out", str(tmp_path / "edge.pgm")]) == 1
+        assert capsys.readouterr().err == (
+            "error: state is missing entry 'param.decoder.edge_head.final.bias'\n")
 
 
 class TestEvalCommand:

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from edmb.pipeline import (
     TrainConfig,
     TrainingDiverged,
     augment,
+    config_keys,
     load_checkpoint,
     load_dataset,
     parse_config,
@@ -305,9 +307,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="non-finite"):
             model_config_from_array(arr)
 
+    def test_default_model_config_vector_pinned(self):
+        # version 1, then every field but seed in field order, tuples flattened
+        np.testing.assert_array_equal(model_config_to_array(ModelConfig()),
+                                      [1, 80, 2, 2, 2, 8, 4, 64, 64, 1, 32, 2, 16])
+        assert model_config_to_array(ModelConfig()).dtype == np.float32
+
+    def test_model_config_vector_roundtrips_every_field(self):
+        # every field but seed differs from its default; seed is not encoded
+        cfg = ModelConfig(embed_dim=24, depths=(3, 0, 1), state_dim=5, patch_size=6,
+                          base_hw=(48, 72), window_keep=3, decoder_ch=20, head_blocks=0,
+                          highres_ch=10, seed=7)
+        default = ModelConfig()
+        assert all(getattr(cfg, f) != getattr(default, f) for f in vars(default))
+        assert model_config_from_array(model_config_to_array(cfg)) == replace(cfg, seed=0)
+
     @pytest.mark.parametrize("arr,named", [
         pytest.param(np.array([1, 16, 2, 2, 2]), "5 values", id="short"),
-        pytest.param(np.append(model_config_to_array(ModelConfig()), 4), "14 values", id="long"),
+        pytest.param(np.append(model_config_to_array(ModelConfig()), 4), "14 values, expected 13",
+                     id="long"),
         pytest.param(np.where(np.arange(13) == 1, 16.4, model_config_to_array(ModelConfig())),
                      "non-integer", id="non-integer"),
     ])
@@ -430,7 +448,7 @@ class TestCheckpoint:
         block = nn.ConvNormRelu(3, 4, rng)
         state = block.state_arrays()
         state["buffer.norm.running_mean"] = np.zeros(1, dtype=np.float32)
-        with pytest.raises(ValueError, match=r"'buffer.norm.running_mean'.*\(1,\) != model \(4,\)"):
+        with pytest.raises(FormatError, match=r"'buffer.norm.running_mean'.*\(1,\) != model \(4,\)"):
             block.load_state_arrays(state)
 
     def test_unknown_checkpoint_entry_raises_naming_it(self, tmp_path, rng):
@@ -438,8 +456,19 @@ class TestCheckpoint:
         block = nn.ConvNormRelu(3, 4, rng)
         state = {**block.state_arrays(), "junk.x": np.zeros(2, dtype=np.float32)}
         save_checkpoint(Checkpoint(state, {}, 0, "f" * 16), tmp_path / "x.ckpt")
-        with pytest.raises(KeyError, match="'junk.x'"):
+        with pytest.raises(FormatError, match="'junk.x'"):
             block.load_state_arrays(load_checkpoint(tmp_path / "x.ckpt").state)
+
+    def test_missing_entries_are_format_error_naming_the_first(self, rng):
+        # a KeyError listed up to four names, and the CLI printed it in quotes
+        block = nn.ConvNormRelu(3, 4, rng)
+        state = block.state_arrays()
+        del state["buffer.norm.running_var"]
+        with pytest.raises(FormatError, match="^state is missing entry 'buffer.norm.running_var'$"):
+            block.load_state_arrays(state)
+        del state["buffer.norm.running_mean"]
+        with pytest.raises(FormatError, match="'buffer.norm.running_mean' and 1 more$"):
+            block.load_state_arrays(state)
 
     @pytest.mark.parametrize("bad", ["missing", "unknown", "mis-shaped"])
     def test_bad_entry_leaves_every_entry_unchanged(self, rng, bad):
@@ -454,7 +483,7 @@ class TestCheckpoint:
             state["buffer.norm.extra"] = np.zeros(4, dtype=np.float32)
         else:
             state["buffer.norm.running_var"] = np.zeros(1, dtype=np.float32)
-        with pytest.raises((KeyError, ValueError), match="running_var|extra"):
+        with pytest.raises(FormatError, match="running_var|extra"):
             block.load_state_arrays(state)
         after = block.state_arrays()
         assert [k for k in before if not np.array_equal(after[k], before[k])] == []
@@ -558,6 +587,57 @@ model.seed=3
         assert cfg.loss.lam == 1.3
         assert cfg.model.depths == (1, 2, 1) and cfg.model.window_keep == 2
         assert cfg.augment_recipe == "bsds" and cfg.mixed_threshold == 0.4
+
+    # key = value line, the field path it sets, and the value it lands as
+    KEYS = {
+        "batch_size": ("2", "batch_size", 2),
+        "lr": ("0.0002", "lr", 0.0002),
+        "weight_decay": ("0.001", "weight_decay", 0.001),
+        "max_steps": ("7", "max_steps", 7),
+        "seed": ("9", "seed", 9),
+        "label_mode": ("mixed", "label_mode", "mixed"),
+        "mixed_threshold": ("0.4", "mixed_threshold", 0.4),
+        "augment": ("bsds", "augment_recipe", "bsds"),
+        "save_every": ("5", "save_every", 5),
+        "loss.lambda": ("1.3", "loss.lam", 1.3),
+        "loss.varphi": ("0.5", "loss.varphi", 0.5),
+        "loss.alpha2": ("0.2", "loss.alpha2", 0.2),
+        "loss.eps": ("0.0001", "loss.eps", 0.0001),
+        "model.embed_dim": ("16", "model.embed_dim", 16),
+        "model.depths": ("1,2,1", "model.depths", (1, 2, 1)),
+        "model.state_dim": ("4", "model.state_dim", 4),
+        "model.patch_size": ("2", "model.patch_size", 2),
+        "model.base_hw": ("96,64", "model.base_hw", (96, 64)),
+        "model.window_keep": ("2", "model.window_keep", 2),
+        "model.decoder_ch": ("12", "model.decoder_ch", 12),
+        "model.head_blocks": ("1", "model.head_blocks", 1),
+        "model.highres_ch": ("8", "model.highres_ch", 8),
+        "model.seed": ("3", "model.seed", 3),
+    }
+
+    def test_key_set_pinned(self):
+        # every TrainConfig field but stage, two of them under an alias
+        assert len(self.KEYS) == 23
+        assert set(config_keys()) == set(self.KEYS)
+        assert {k: path for k, (path, _) in config_keys().items()} == {
+            k: path for k, (_, path, _) in self.KEYS.items()}
+
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_each_key_sets_its_field(self, tmp_path, key):
+        raw, dest, want = self.KEYS[key]
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key}={raw}\n")
+        cfg, default = parse_config(path), TrainConfig()
+        for part in dest.split("."):
+            cfg, default = getattr(cfg, part), getattr(default, part)
+        assert cfg == want and type(cfg) is type(want) and default != want
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # the last of the two values was taken: this file trained 10 steps
+        path = tmp_path / "c.cfg"
+        path.write_text("max_steps=800\nseed=3\n\nmax_steps=10\n")
+        with pytest.raises(ValueError, match="c.cfg:4: config key 'max_steps' repeats line 1"):
+            parse_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -759,11 +839,31 @@ class TestTrainStage:
         cfg = tiny_train_cfg(steps=3, seed=5)
         model = EdgeDetector(cfg.model)
         ck = train_stage(model, corpus, cfg)
-        cfg2 = tiny_train_cfg(steps=5, seed=5)  # max_steps differs: new fingerprint
+        # only max_steps differs, which changes no step: the resume does not warn
+        cfg2 = tiny_train_cfg(steps=5, seed=5)
         model2 = EdgeDetector(cfg2.model)
-        with pytest.warns(UserWarning, match="different config"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             ck2 = train_stage(model2, corpus, cfg2, resume_ckpt=ck)
         assert ck2.step == 5 and len(ck2.loss_history) == 2
+
+    def test_resume_with_other_lr_warns(self, corpus):
+        ck = train_stage(EdgeDetector(tiny_train_cfg().model), corpus,
+                         tiny_train_cfg(steps=1, seed=5))
+        cfg2 = tiny_train_cfg(steps=2, seed=5, lr=3e-4)
+        with pytest.warns(UserWarning, match="different config"):
+            ck2 = train_stage(EdgeDetector(cfg2.model), corpus, cfg2, resume_ckpt=ck)
+        assert ck2.step == 2
+
+    def test_fingerprint_leaves_out_run_length_and_save_cadence(self):
+        # resuming to more steps always warned "different config"
+        base = TrainConfig(max_steps=3).fingerprint()
+        assert TrainConfig(max_steps=5).fingerprint() == base
+        assert TrainConfig(max_steps=3, save_every=2).fingerprint() == base
+        for changed in (TrainConfig(max_steps=3, lr=2e-4), TrainConfig(max_steps=3, seed=1),
+                        TrainConfig(stage="fine"), TrainConfig(model=ModelConfig(embed_dim=16)),
+                        TrainConfig(loss=LossConfig(varphi=0.5))):
+            assert changed.fingerprint() != base
 
     def test_resume_from_other_stage_is_format_error(self, corpus):
         # a fine run resumed from a global checkpoint ran on from the global

@@ -69,8 +69,8 @@ class TestSelectiveScan:
     def test_single_token(self, rng, f64):
         p = lti_params(1, 3, rng)
         x = dc.randn(rng, (1, 1, 1))
-        seq = ssm.TokenSequence(x, (1, 1))
-        y = ssm.selective_scan(seq, p, "forward").tokens.data
+        (y,) = ssm.selective_scans(x, [(p, "forward")])
+        y = y.data
         with dc.no_grad():
             delta, b, c = p.per_token(x)
         a_bar, b_bar = ssm.discretize_zoh(p.a_diag().data, b.data[0, 0], delta.data[0, 0])
@@ -82,10 +82,10 @@ class TestSelectiveScan:
         p = lti_params(1, N, rng)
         x = np.zeros((1, M, 1))
         x[0, 0, 0] = 1.0
-        seq = ssm.TokenSequence(Tensor(x), (1, M))
-        y = ssm.selective_scan(seq, p, "forward").tokens.data[0, :, 0]
+        x = Tensor(x)
+        y = ssm.selective_scans(x, [(p, "forward")])[0].data[0, :, 0]
         with dc.no_grad():
-            delta, b, c = p.per_token(seq.tokens)
+            delta, b, c = p.per_token(x)
         a_bar, b_bar = ssm.discretize_zoh(p.a_diag().data, b.data[0, 0], delta.data[0, 0])
         kernel = np.array([
             float(c.data[0, 0] @ (a_bar**j * b_bar)) for j in range(M)
@@ -95,37 +95,35 @@ class TestSelectiveScan:
     def test_matches_kernel_oracle_m16(self, rng, f64):
         p = lti_params(3, 4, rng)
         x = dc.randn(rng, (2, 16, 3))
-        seq = ssm.TokenSequence(x, (4, 4))
-        y1 = ssm.selective_scan(seq, p, "forward").tokens.data
-        y2 = ssm.scan_kernel_oracle(seq, p).tokens.data
+        y1 = ssm.selective_scans(x, [(p, "forward")])[0].data
+        y2 = ssm.scan_kernel_oracle(x, p).data
         assert np.abs(y1 - y2).max() < 1e-6
 
     def test_reversal_symmetry(self, rng, f64):
         p = lti_params(3, 4, rng)
         x = dc.randn(rng, (1, 12, 3))
-        seq = ssm.TokenSequence(x, (3, 4))
-        y_back = ssm.selective_scan(seq, p, "backward").tokens.data
-        rev = ssm.TokenSequence(Tensor(np.flip(x.data, 1).copy()), (3, 4))
-        y_fwd_rev = ssm.selective_scan(rev, p, "forward").tokens.data
+        (y_back,) = ssm.selective_scans(x, [(p, "backward")])
+        rev = Tensor(np.flip(x.data, 1).copy())
+        (y_fwd_rev,) = ssm.selective_scans(rev, [(p, "forward")])
+        y_back, y_fwd_rev = y_back.data, y_fwd_rev.data
         np.testing.assert_array_equal(y_back, np.flip(y_fwd_rev, 1))
 
     def test_selective_scan_is_input_dependent(self, rng, f64):
         # with nonzero projection weights, scaling the input changes B,C,delta
         p = ssm.SSMParams(2, 3, rng)
         x = dc.randn(rng, (1, 6, 2))
-        y1 = ssm.selective_scan(ssm.TokenSequence(x, (2, 3)), p, "forward").tokens.data
+        y1 = ssm.selective_scans(x, [(p, "forward")])[0].data
         x2 = Tensor(2.0 * x.data)
-        y2 = ssm.selective_scan(ssm.TokenSequence(x2, (2, 3)), p, "forward").tokens.data
+        y2 = ssm.selective_scans(x2, [(p, "forward")])[0].data
         assert not np.allclose(y2, 2.0 * y1)  # nonlinearity through selectivity
 
     def test_stability_long_sequence(self, rng, f64):
         p = lti_params(2, 4, rng)
         x = dc.randn(rng, (1, 4096, 2))
-        seq = ssm.TokenSequence(x, (64, 64))
-        y = ssm.selective_scan(seq, p, "forward").tokens.data
+        y = ssm.selective_scans(x, [(p, "forward")])[0].data
         assert np.all(np.isfinite(y))
         with dc.no_grad():
-            delta, b, c = p.per_token(seq.tokens)
+            delta, b, c = p.per_token(x)
         a_bar, b_bar = ssm.discretize_zoh(p.a_diag().data, b.data[0, 0], delta.data[0, 0])
         # geometric series bound on the state, mapped through the readout
         h_bound = np.abs(b_bar) / (1.0 - np.abs(a_bar)) * np.abs(x.data).max()
@@ -193,18 +191,16 @@ class TestSelectiveScan:
 class TestKernelOracle:
     def test_zero_input(self, rng, f64):
         p = lti_params(2, 3, rng)
-        seq = ssm.TokenSequence(dc.zeros((1, 5, 2)), (1, 5))
-        y = ssm.scan_kernel_oracle(seq, p).tokens.data
+        y = ssm.scan_kernel_oracle(dc.zeros((1, 5, 2)), p).data
         np.testing.assert_array_equal(y, 0.0)
 
     def test_two_step_hand_expansion(self, rng, f64):
         # scalar state: y2 = C*Bbar*x2 + C*Abar*Bbar*x1
         p = lti_params(1, 1, rng)
         x = dc.randn(rng, (1, 2, 1))
-        seq = ssm.TokenSequence(x, (1, 2))
-        y = ssm.scan_kernel_oracle(seq, p).tokens.data
+        y = ssm.scan_kernel_oracle(x, p).data
         with dc.no_grad():
-            delta, b, c = p.per_token(seq.tokens)
+            delta, b, c = p.per_token(x)
         a_bar, b_bar = ssm.discretize_zoh(p.a_diag().data, b.data[0, 0], delta.data[0, 0])
         C = float(c.data[0, 0, 0])
         want_y2 = C * b_bar[0] * x.data[0, 1, 0] + C * a_bar[0] * b_bar[0] * x.data[0, 0, 0]
@@ -218,9 +214,8 @@ class TestKernelOracle:
             M = int(rng.integers(2, 33))
             p = lti_params(D, N, rng, delta_bias=float(rng.uniform(-1, 1)))
             x = dc.randn(rng, (1, M, D))
-            seq = ssm.TokenSequence(x, (1, M))
-            ys = ssm.selective_scan(seq, p, "forward").tokens.data
-            yk = ssm.scan_kernel_oracle(seq, p).tokens.data
+            ys = ssm.selective_scans(x, [(p, "forward")])[0].data
+            yk = ssm.scan_kernel_oracle(x, p).data
             worst = max(worst, float(np.abs(ys - yk).max()))
         assert worst < 1e-6
 
@@ -228,7 +223,7 @@ class TestKernelOracle:
         p = ssm.SSMParams(2, 3, rng)  # nonzero projection weights
         x = dc.randn(rng, (1, 4, 2))
         with pytest.raises(ValueError, match="token-varying"):
-            ssm.scan_kernel_oracle(ssm.TokenSequence(x, (2, 2)), p)
+            ssm.scan_kernel_oracle(x, p)
 
 
 class TestVimBlock:
@@ -236,8 +231,8 @@ class TestVimBlock:
         blk = ssm.VimBlock(4, 3, rng)
         blk.proj.weight.data[:] = 0.0
         x = dc.randn(rng, (2, 9, 4))
-        out = blk(ssm.TokenSequence(x, (3, 3)))
-        np.testing.assert_array_equal(out.tokens.data, x.data)
+        out = blk(x)
+        np.testing.assert_array_equal(out.data, x.data)
 
     def test_constant_tokens_match_kernel_partial_sums(self, rng, f64):
         # constant input => token-independent params => LTI; the block output
@@ -247,23 +242,23 @@ class TestVimBlock:
         M = 64
         const = rng.standard_normal(3)
         x = Tensor(np.tile(const, (1, M, 1)))
-        out = blk(ssm.TokenSequence(x, (8, 8))).tokens.data
+        out = blk(x).data
 
-        normed = ssm.TokenSequence(blk.norm(x), (8, 8))
-        yf = ssm.scan_kernel_oracle(normed, blk.fwd).tokens
-        yb_in = ssm.TokenSequence(Tensor(np.flip(normed.tokens.data, 1).copy()), (8, 8))
-        yb = np.flip(ssm.scan_kernel_oracle(yb_in, blk.bwd).tokens.data, 1)
+        normed = blk.norm(x)
+        yf = ssm.scan_kernel_oracle(normed, blk.fwd)
+        yb_in = Tensor(np.flip(normed.data, 1).copy())
+        yb = np.flip(ssm.scan_kernel_oracle(yb_in, blk.bwd).data, 1)
         mixed = blk.proj(Tensor((yf.data + yb).copy())).data + x.data
         np.testing.assert_allclose(out, mixed, atol=1e-10)
 
         # interior spread bounded by the geometric tails of both scans
         def tail(params):
             with dc.no_grad():
-                delta, b, c = params.per_token(normed.tokens)
+                delta, b, c = params.per_token(normed)
             a_bar, b_bar = ssm.discretize_zoh(
                 params.a_diag().data, b.data[0, 0], delta.data[0, 0])
             rho = np.abs(a_bar).max()
-            amp = float(np.abs(c.data[0, 0]) @ np.abs(b_bar)) * np.abs(normed.tokens.data).max()
+            amp = float(np.abs(c.data[0, 0]) @ np.abs(b_bar)) * np.abs(normed.data).max()
             return amp * rho ** (M // 4) / (1 - rho)
 
         interior = out[0, M // 4 : -M // 4 or None]
@@ -274,9 +269,8 @@ class TestVimBlock:
     def test_shape_preserved(self, rng):
         for shape in [(1, 4, 6), (2, 16, 3), (1, 25, 5)]:
             blk = ssm.VimBlock(shape[2], 2, rng)
-            grid = (1, shape[1])
-            out = blk(ssm.TokenSequence(dc.randn(rng, shape), grid))
-            assert out.tokens.shape == shape
+            out = blk(dc.randn(rng, shape))
+            assert out.shape == shape
 
     @pytest.mark.bits
     def test_output_and_gradients_pinned(self):
@@ -286,7 +280,7 @@ class TestVimBlock:
         blk = ssm.VimBlock(8, 4, rng)
         x = dc.randn(rng, (2, 12, 8), requires_grad=True)
         r = dc.randn(rng, (2, 12, 8))
-        out = blk(ssm.TokenSequence(x, (3, 4))).tokens
+        out = blk(x)
         dc.backward(dc.tsum(dc.mul(r, out)))
         digest = hashlib.sha256(out.data.tobytes() + x.grad.tobytes())
         for name, p in blk.named_parameters():
@@ -298,23 +292,20 @@ class TestVimBlock:
         blk = ssm.VimBlock(3, 2, rng)
         x = dc.randn(rng, (1, 4, 3), requires_grad=True)
         r = dc.randn(rng, (1, 4, 3))
-        f = lambda: dc.tsum(dc.mul(r, blk(ssm.TokenSequence(x, (2, 2))).tokens))
+        f = lambda: dc.tsum(dc.mul(r, blk(x)))
         assert dc.finite_diff_check(f, [x] + blk.parameters(), max_coords=4) < 1e-4
 
 
 class TestPatchEmbed:
     def test_token_count_and_grid(self, rng):
         pe = ssm.PatchEmbed(4, 7, (16, 16), rng)
-        seq = pe(dc.zeros((1, 3, 64, 64)))
-        assert seq.tokens.shape == (1, 256, 7)
-        assert seq.grid == (16, 16)
+        assert pe(dc.zeros((1, 3, 64, 64))).shape == (1, 256, 7)
 
     def test_zero_image_zero_pos_gives_zero_tokens(self, rng):
         pe = ssm.PatchEmbed(4, 7, (4, 4), rng)
         pe.pos.data[:] = 0.0
         pe.proj.bias.data[:] = 0.0
-        seq = pe(dc.zeros((1, 3, 16, 16)))
-        np.testing.assert_array_equal(seq.tokens.data, 0.0)
+        np.testing.assert_array_equal(pe(dc.zeros((1, 3, 16, 16))).data, 0.0)
 
     def test_identity_like_projection_hand_check(self, rng, f64):
         # projection = identity on the first 12 inputs: token equals the
@@ -324,11 +315,11 @@ class TestPatchEmbed:
         pe.proj.bias.data[:] = 0.0
         pe.pos.data[:] = 0.0
         img = np.arange(3 * 4 * 4, dtype=np.float64).reshape(1, 3, 4, 4)
-        seq = pe(Tensor(img))
+        tokens = pe(Tensor(img)).data
         patch0 = img[0, :, 0:2, 0:2].reshape(-1)
-        np.testing.assert_array_equal(seq.tokens.data[0, 0], patch0)
+        np.testing.assert_array_equal(tokens[0, 0], patch0)
         patch3 = img[0, :, 2:4, 2:4].reshape(-1)
-        np.testing.assert_array_equal(seq.tokens.data[0, 3], patch3)
+        np.testing.assert_array_equal(tokens[0, 3], patch3)
 
     def test_indivisible_size_names_dimensions(self, rng):
         pe = ssm.PatchEmbed(4, 7, (4, 4), rng)
@@ -337,13 +328,12 @@ class TestPatchEmbed:
 
     def test_pos_embed_resampled_for_other_grids(self, rng):
         pe = ssm.PatchEmbed(4, 5, (4, 4), rng)
-        seq = pe(dc.zeros((1, 3, 32, 32)))  # 8x8 grid from a 4x4 base
-        assert seq.tokens.shape == (1, 64, 5)
+        assert pe(dc.zeros((1, 3, 32, 32))).shape == (1, 64, 5)  # 8x8 grid from a 4x4 base
 
     def test_roundtrip_tokens_to_map(self, rng):
         pe = ssm.PatchEmbed(2, 6, (3, 3), rng)
-        seq = pe(dc.randn(rng, (2, 3, 6, 6)))
-        fmap = seq.to_map()
+        tokens = pe(dc.randn(rng, (2, 3, 6, 6)))
+        fmap = ssm.tokens_to_map(tokens, (3, 3))
         assert fmap.shape == (2, 6, 3, 3)
-        want = seq.tokens.data.reshape(2, 3, 3, 6).transpose(0, 3, 1, 2)
+        want = tokens.data.reshape(2, 3, 3, 6).transpose(0, 3, 1, 2)
         np.testing.assert_array_equal(fmap.data, want)
