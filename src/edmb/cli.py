@@ -205,15 +205,18 @@ def cmd_bench(args):
 
 
 def cmd_check(args):
-    from .verify import run_suites
+    from .verify import grad_suite, oracle_suite
 
-    results = run_suites(args.suite, quick=args.quick)
-    ok = True
+    results = []
+    if args.suite in ("grad", "all"):
+        results.extend(grad_suite(max_coords=3 if args.quick else 6))
+    if args.suite in ("oracle", "all"):
+        results.extend(oracle_suite())
     for r in results:
         print(r.line())
-        ok = ok and r.ok
-    print(f"{sum(r.ok for r in results)}/{len(results)} checks passed")
-    return 0 if ok else 1
+    passed = sum(r.ok for r in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def main(argv=None):

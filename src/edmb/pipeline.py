@@ -122,14 +122,18 @@ def _rotation(shape, angle):
     return lambda a: np.where(inside, sample(a), 0.0)
 
 
+def _recipe_named(name):
+    if name not in RECIPES:
+        raise ValueError(f"unknown recipe {name!r}; options: {sorted(RECIPES)}")
+    return RECIPES[name]
+
+
 def augment(sample: DatasetSample, recipe, rng) -> DatasetSample:
     """Draw one variant from the recipe (a ``Recipe`` or a ``RECIPES`` name)
     and apply its geometry (scale, rotate, flip, then resize) to the image
     and every annotator map. Rotation fill is marked invalid."""
     if isinstance(recipe, str):
-        if recipe not in RECIPES:
-            raise ValueError(f"unknown recipe {recipe!r}; options: {sorted(RECIPES)}")
-        recipe = RECIPES[recipe]
+        recipe = _recipe_named(recipe)
     flip = recipe.flips[rng.integers(len(recipe.flips))]
     angle = float(recipe.angles[rng.integers(len(recipe.angles))])
     scale = float(recipe.scales[rng.integers(len(recipe.scales))])
@@ -371,6 +375,7 @@ class TrainConfig:
             raise ValueError(f"mixed_threshold must lie in (0, 1], got {self.mixed_threshold}")
         if self.label_mode not in ("random", "mixed"):
             raise ValueError(f"unknown label mode {self.label_mode!r}")
+        _recipe_named(self.augment_recipe)
 
     @property
     def effective_batch(self):

@@ -1,9 +1,10 @@
-"""Verification suites behind ``check``: gradient checks for every layer and
-both stage losses, plus value-level oracles (ZOH closed form, scan-vs-kernel
-equivalence, KL quadrature, cross-entropy hand cases, eval hand cases).
-
-Gradient checks run in 64-bit with central differences; each entry reports
-the worst relative error over sampled coordinates.
+"""Verification suites behind ``check``: ``grad_suite`` checks the gradients
+of every layer and both stage losses by central differences in 64-bit, each
+entry the worst relative error over sampled coordinates. ``oracle_suite`` is
+the one copy of each value oracle (ZOH closed form, scan-vs-kernel
+equivalence, KL quadrature, cross-entropy, eval and MAC hand cases), which
+acceptance criteria 2-4, 8 and 9 read by name; an ``EXACT`` bound passes
+only an error of exactly 0.
 """
 
 from __future__ import annotations
@@ -203,6 +204,9 @@ GRAD_CHECKS = {
 _FOUR_COORDS = {"vim_block", "mbconv", "sft", "cff", "head", "stage1_loss", "stage2_loss"}
 
 
+EXACT = math.ulp(0.0)  # under CheckResult.ok's ``<``, only 0 passes
+
+
 def oracle_suite():
     """Value-level oracles; each entry's value is an absolute error."""
     results = []
@@ -214,14 +218,14 @@ def oracle_suite():
     a_bar, b_bar = ssm.discretize_zoh([-1.0], [0.5], 1.0)
     add("zoh.scalar_abar", abs(a_bar[0] - math.exp(-1.0)), 1e-9)
     add("zoh.scalar_bbar", abs(b_bar[0] - (1.0 - math.exp(-1.0)) * 0.5), 1e-9)
-    a_bar, b_bar = ssm.discretize_zoh([-1.0], [0.5], 1e-7)
-    add("zoh.delta_to_zero", max(abs(a_bar[0] - 1.0), abs(b_bar[0])), 1e-5)
+    a_bar, b_bar = ssm.discretize_zoh([-2.0], [1.0], 1e-8)
+    add("zoh.delta_to_zero", max(abs(a_bar[0] - 1.0), abs(b_bar[0])), 1e-6)
     _, b_bar = ssm.discretize_zoh([1e-9], [2.0], 0.5)
     add("zoh.taylor_limit", abs(b_bar[0] - 1.0), 1e-9)
 
     # scan vs kernel oracle on 50 random LTI instances
     with dc.precision("float64"):
-        rng = np.random.default_rng(17)
+        rng = np.random.default_rng(29)
         worst = 0.0
         for _ in range(50):
             N = int(rng.integers(1, 9))
@@ -258,26 +262,27 @@ def oracle_suite():
                 worst = max(worst, abs(closed - ref))
         add("kl.quadrature_grid", worst, 1e-6)
         add("kl.standard_normal_zero",
-            abs(kl_loss(Tensor([[0.0]]), Tensor([[1.0]])).item()), 1e-12)
+            abs(kl_loss(Tensor([[0.0]]), Tensor([[1.0]])).item()), EXACT)
 
     # WCE hand cases
-    cfg = LossConfig()
-    y = np.zeros((2, 2))
-    y[0, 0] = 1.0
-    ones = np.ones((2, 2))
-    val = wce_loss(Tensor(np.full((2, 2), 0.5)), y, ones, cfg).item()
-    add("wce.2x2_half", abs(val - math.log(2.0) * (3 / 4 + 3 * 1.1 / 4)), 1e-3)
-    val = wce_loss(Tensor(np.zeros((2, 2)) + 1e-9), np.zeros((2, 2)), ones, cfg).item()
-    add("wce.all_negative_zero", abs(val), 1e-12)
-    val = wce_loss(Tensor(y.copy()), y, ones, cfg).item()
-    add("wce.perfect_prediction", abs(val), 1e-3)
+    with dc.precision("float64"):
+        cfg = LossConfig()
+        y = np.zeros((2, 2))
+        y[0, 0] = 1.0
+        ones = np.ones((2, 2))
+        val = wce_loss(Tensor(np.full((2, 2), 0.5)), y, ones, cfg).item()
+        add("wce.2x2_half", abs(val - math.log(2.0) * (3 / 4 + 3 * 1.1 / 4)), 1e-3)
+        val = wce_loss(Tensor(np.full((2, 2), 0.3)), np.zeros((2, 2)), ones, cfg).item()
+        add("wce.all_negative_zero", abs(val), EXACT)
+        val = wce_loss(Tensor(np.eye(2)), np.eye(2), ones, cfg).item()
+        add("wce.perfect_prediction", abs(val), 1e-3)
 
     # eval harness hand cases
     gt = np.zeros((9, 9), bool)
     gt[4, 2:7] = True
     rep = evalkit.f_curve([gt.astype(float)], [gt])
-    add("eval.identical_ods", abs(rep.ods_f - 1.0), 1e-12)
-    add("eval.identical_ois", abs(rep.ois_f - 1.0), 1e-12)
+    add("eval.identical_ods", abs(rep.ods_f - 1.0), EXACT)
+    add("eval.identical_ois", abs(rep.ois_f - 1.0), EXACT)
     pred = np.zeros((5, 5))
     pred[1, 1] = 1.0
     pred[3, 3] = 1.0
@@ -285,23 +290,15 @@ def oracle_suite():
     gt2[1, 1] = True
     gt2[0, 4] = True
     rep = evalkit.f_curve([pred], [gt2], thresholds=[0.5], max_dist_frac=0.01)
-    add("eval.hand_5x5_f", abs(rep.f[0] - 0.5), 1e-12)
+    add("eval.hand_5x5_p", abs(rep.precision[0] - 0.5), EXACT)
+    add("eval.hand_5x5_r", abs(rep.recall[0] - 0.5), EXACT)
+    add("eval.hand_5x5_f", abs(rep.f[0] - 0.5), EXACT)
 
     # conv MAC hand count: 3x3, 16->32 channels, 8x8 output
-    rng = np.random.default_rng(0)
     xw = Tensor(np.zeros((1, 16, 8, 8), dtype=np.float32))
     ww = Tensor(np.zeros((32, 16, 3, 3), dtype=np.float32))
     dc.profile_macs_start()
     dc.conv2d(xw, ww)
     macs = dc.profile_macs_stop()
-    add("flops.conv_hand_count", abs(macs - 8 * 8 * 32 * 16 * 9), 0.5)
-    return results
-
-
-def run_suites(which="all", quick=False):
-    results = []
-    if which in ("grad", "all"):
-        results.extend(grad_suite(max_coords=3 if quick else 6))
-    if which in ("oracle", "all"):
-        results.extend(oracle_suite())
+    add("flops.conv_hand_count", abs(macs - 8 * 8 * 32 * 16 * 9), EXACT)
     return results

@@ -260,6 +260,14 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "[pass]" in out and "FAIL" not in out
 
+    def test_failing_oracle_exits_1_naming_it(self, capsys, monkeypatch):
+        # one MAC too many fails the conv hand count and nothing else
+        stop = verify.dc.profile_macs_stop
+        monkeypatch.setattr(verify.dc, "profile_macs_stop", lambda: stop() + 1)
+        assert main(["check", "--suite", "oracle"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] flops.conv_hand_count:" in out and out.count("[FAIL]") == 1
+
     def test_grad_suite_passes_on_fresh_build(self, capsys):
         rc = main(["check", "--suite", "grad", "--quick"])
         assert rc == 0

@@ -647,6 +647,13 @@ model.seed=3
             with pytest.raises(ValueError, match="unknown config key"):
                 parse_config(path)
 
+    def test_unknown_augment_recipe_rejected(self, tmp_path):
+        # this parsed, and `edmb train` failed only at its first step
+        path = tmp_path / "c.cfg"
+        path.write_text("augment=cityscapes\n")
+        with pytest.raises(ValueError, match="unknown recipe 'cityscapes'"):
+            parse_config(path)
+
     @pytest.mark.parametrize("line, match", [("model.depths=1,1", "three stages"),
                                              ("model.window_keep=5", "window_keep")])
     def test_invalid_model_rejected(self, tmp_path, line, match):
